@@ -5,7 +5,9 @@ appends one row — commit, scale, absolute grid/loop/refresh seconds,
 the four gated speedups and the resilience retention/recovery pair — to
 a tab-separated table uploaded as a build
 artifact, so the trajectory across PRs is a download away instead of an
-archaeology dig through old logs.
+archaeology dig through old logs.  Two headline size figures ride along
+with the seconds: ``src_lines`` (``wc -l`` over ``src/repro/**/*.py``)
+and ``backend_tiers`` (the number of registered engine tiers).
 
 Usage::
 
@@ -37,10 +39,20 @@ import sys
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
+SRC_DIR = BENCH_DIR.parent / "src" / "repro"
+
+try:  # script mode from a clean checkout: resolve the src layout
+    import repro  # noqa: F401
+except ImportError:
+    sys.path.insert(0, str(BENCH_DIR.parent / "src"))
+
+from repro.core import backends
 
 COLUMNS = (
     "commit",
     "scale",
+    "src_lines",
+    "backend_tiers",
     "engine_grid_ref_s",
     "engine_grid_fast_s",
     "engine_grid_speedup",
@@ -61,8 +73,6 @@ COLUMNS = (
     "resilience_recovery_blocks",
     "parallel_grid_w1_s",
     "parallel_grid_speedup_w4",
-    "parallel_window_speedup_w4",
-    "parallel_window_obj_ratio",
     "matrix_s",
     "matrix_cells",
     "matrix_txallo_tps",
@@ -97,6 +107,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def src_lines(src_dir: Path = SRC_DIR) -> int:
+    """Total ``wc -l`` over the package's Python sources."""
+    return sum(p.read_bytes().count(b"\n") for p in src_dir.rglob("*.py"))
+
+
 def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
     engine = _load(bench_dir, f"BENCH_engine{suffix}.json")
     delta = _load(bench_dir, f"BENCH_delta{suffix}.json")
@@ -111,6 +126,8 @@ def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
     return {
         "commit": commit,
         "scale": scale,
+        "src_lines": src_lines(),
+        "backend_tiers": len(backends.names()),
         "engine_grid_ref_s": engine.get("ref_seconds"),
         "engine_grid_fast_s": engine.get("fast_seconds"),
         "engine_grid_speedup": engine.get("speedup"),
@@ -133,8 +150,6 @@ def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
         "resilience_recovery_blocks": resilience.get("recovery_blocks"),
         "parallel_grid_w1_s": (par.get("grid_seconds") or {}).get("1"),
         "parallel_grid_speedup_w4": par.get("grid_speedup_w4"),
-        "parallel_window_speedup_w4": par.get("window_speedup_w4"),
-        "parallel_window_obj_ratio": par.get("window_objective_ratio_min"),
         "matrix_s": matrix.get("matrix_seconds"),
         "matrix_cells": matrix.get("cells"),
         "matrix_txallo_tps": matrix.get("txallo_tps_ethereum"),

@@ -26,13 +26,6 @@ from the graph's mutation journal, so between global refreshes the τ₁
 loop does not freeze the graph at all.  Results are byte-identical with
 the workspace on or off; :attr:`TxAlloController.workspace_stats`
 exposes its rebuild/extend counters.
-
-``params.workers`` needs no controller plumbing: the adaptive kernel is
-resolved through the backend registry and workers-aware tiers (the
-``"parallel"`` backend's shard-parallel A-TxAllo) read the thread count
-straight off ``allocation.params``.  The knob is semantically inert —
-any ``workers`` value yields the identical allocation; only wall-clock
-changes (see :mod:`repro.core.parallel`).
 """
 
 from __future__ import annotations

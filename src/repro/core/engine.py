@@ -81,9 +81,10 @@ re-partition N nodes from scratch.  Two documented divergences:
    pass only the neighbourhoods of actual movers are re-examined.  It
    runs in insertion-id space (the seed indexes by CSR id, so the
    reference's sorted-space remap is unnecessary).
-2. **Work-skipping optimisation** (:func:`_optimise_flat_turbo`): the
-   first sweep visits every node in the reference's ascending-identifier
-   order, later sweeps revisit only nodes with a moved neighbour.
+2. **Work-skipping optimisation** (:func:`_optimise_flat` with
+   ``warm=True``): the first sweep visits every node in the reference's
+   ascending-identifier order, later sweeps revisit only nodes with a
+   moved neighbour.
 
 The sweep *orders* are the reference's own — tiny graphs are several
 percent sensitive to visit order, so turbo spends its divergence budget
@@ -117,7 +118,8 @@ O(frontier degree) re-lowering plus an incremental freeze per window.
 The workspace is a **cache, not a backend level**: unlike ``"turbo"`` it
 is not allowed to land on a different optimum — a workspace-backed run
 must produce byte-identical allocations, caches and sweep/move counts to
-the snapshot-per-run fast path (the row maps replay the same float
+the per-run CSR view (both views feed the one sweep body,
+:func:`_a_txallo_sweep`; the row maps replay the same float
 accumulations in the same order the CSR rows would, and per-run ``w_ext``
 is re-summed in row order exactly as a lowering would), which
 ``tests/test_engine_parity.py`` and ``tests/test_delta_freeze.py`` pin
@@ -750,7 +752,8 @@ def g_txallo_flat(
     ``warm=True`` is the turbo backend: Louvain warm-starts from the
     previous snapshot's partition (:func:`louvain_flat_warm`) and the
     optimisation phase work-skips converged nodes
-    (:func:`_optimise_flat_turbo`); sweep orders stay the reference's.
+    (:func:`_optimise_flat`'s ``warm`` schedule); sweep orders stay the
+    reference's.
     Deterministic, but allowed to land on a different local optimum than
     ``warm=False`` — see the module docstring for the gated contract.
     """
@@ -797,10 +800,7 @@ def g_txallo_flat(
             order = [index_of[v] for v in node_order]
         except KeyError as exc:
             raise GraphError(f"unknown node {exc.args[0]!r}") from None
-    if warm:
-        sweeps, moves = _optimise_flat_turbo(flat, order, params.epsilon)
-    else:
-        sweeps, moves = _optimise_flat(flat, order, params.epsilon)
+    sweeps, moves = _optimise_flat(flat, order, params.epsilon, warm=warm)
     t2 = time.perf_counter()
 
     alloc = flat.to_allocation(graph)
@@ -934,6 +934,7 @@ def _optimise_flat(
     flat: _FlatAllocation,
     order: Iterable[int],
     epsilon: float,
+    warm: bool = False,
 ) -> Tuple[int, int]:
     """Phase 2 of Algorithm 1 (mirrors ``gtxallo._optimise``).
 
@@ -941,6 +942,18 @@ def _optimise_flat(
     the gain evaluations are inlined with every array bound to a local —
     no method calls, no per-node allocations beyond the reused ``touched``
     list.  The arithmetic is the reference's, expression for expression.
+
+    ``warm=True`` is turbo's work-skipping schedule: the first sweep
+    visits every node in ``order``, each later sweep revisits only the
+    nodes with a neighbour that moved in the previous sweep (ascending
+    id).  By Lemma 1 a move changes only the two communities involved, so
+    a node with no moved neighbour keeps the same candidate set and very
+    nearly the same gains.  The skip can defer marginal moves for nodes a
+    move only affected through a community's ``sigma``/``lam_hat`` drift
+    (not through an incident edge); on the dynamic path those are exactly
+    the moves the next A-TxAllo step or refresh picks up, and the
+    end-state quality is part of the turbo divergence contract, gated on
+    the objective.
     """
     params = flat.params
     eta = params.eta
@@ -959,8 +972,10 @@ def _optimise_flat(
     counts = flat.counts
     neg_inf = -float("inf")
 
-    order = list(order)
+    current: List[int] = list(order)
     touched: List[int] = []
+    next_ids: List[int] = []
+    in_next = bytearray(len(comm)) if warm else None
     # Cached capped throughput per community: a pure function of
     # (sigma[c], lam_hat[c], lam), refreshed on the two communities a move
     # touches — reading the cache is bit-identical to recomputing.
@@ -977,12 +992,13 @@ def _optimise_flat(
     while sweeps < _GLOBAL_MAX_SWEEPS:
         sweeps += 1
         sweep_gain = 0.0
-        for i in order:
+        for i in current:
             p = comm[i]
             epoch += 1
             del touched[:]
             append = touched.append
-            for j, w in pairs[i]:
+            row = pairs[i]
+            for j, w in row:
                 c = comm[j]
                 if stamp[c] == epoch:
                     acc[c] += w
@@ -1058,398 +1074,22 @@ def _optimise_flat(
                 counts[best_q] += 1
                 sweep_gain += best_gain
                 moves += 1
+                if warm:
+                    for j, _w in row:
+                        if not in_next[j]:
+                            in_next[j] = 1
+                            next_ids.append(j)
         if sweep_gain < epsilon:
             break
+        if warm:
+            if not next_ids:
+                break
+            next_ids.sort()
+            for j in next_ids:
+                in_next[j] = 0
+            current, next_ids = next_ids, []
     flat.epoch = epoch
     return sweeps, moves
-
-
-def _optimise_flat_turbo(
-    flat: _FlatAllocation,
-    order: Iterable[int],
-    epsilon: float,
-) -> Tuple[int, int]:
-    """Phase 2 with the turbo work-skipping schedule.
-
-    The first sweep visits every node in ``order`` exactly like
-    :func:`_optimise_flat`; each later sweep revisits only the nodes
-    with a neighbour that moved in the previous sweep (ascending id).
-    By Lemma 1 a move changes only the two communities involved, so a
-    node with no moved neighbour keeps the same candidate set and very
-    nearly the same gains — re-evaluating the whole graph each sweep is
-    what made the cold refresh pay O(N k) per sweep after the first.
-    The skip can defer marginal moves for nodes a move only affected
-    through a community's ``sigma``/``lam_hat`` drift (not through an
-    incident edge); on the dynamic path those are exactly the moves the
-    next A-TxAllo step or refresh picks up, and the end-state quality is
-    part of the turbo divergence contract, gated on the objective (the
-    measured objective gap at bench scale is under 1%, usually in
-    turbo's favour).  Gain arithmetic is identical to
-    :func:`_optimise_flat`, expression for expression.
-    """
-    params = flat.params
-    eta = params.eta
-    lam = params.lam
-    one_minus_eta = 1.0 - eta
-    eta_minus_one = eta - 1.0
-    comm = flat.comm
-    pairs = flat.csr.pairs
-    loop = flat.csr.loop
-    ext = flat.csr.ext
-    sigma = flat.sigma
-    lam_hat = flat.lam_hat
-    acc = flat.acc
-    stamp = flat.stamp
-    epoch = flat.epoch
-    counts = flat.counts
-    neg_inf = -float("inf")
-
-    n = len(comm)
-    touched: List[int] = []
-    in_next = bytearray(n)
-    thpt = [0.0] * len(sigma)
-    for c in range(len(sigma)):
-        sigma_c = sigma[c]
-        if sigma_c <= lam or sigma_c == 0.0:
-            thpt[c] = lam_hat[c]
-        else:
-            thpt[c] = lam / sigma_c * lam_hat[c]
-
-    sweeps = 0
-    moves = 0
-    current: Iterable[int] = list(order)
-    while sweeps < _GLOBAL_MAX_SWEEPS:
-        sweeps += 1
-        sweep_gain = 0.0
-        next_ids: List[int] = []
-        for i in current:
-            p = comm[i]
-            epoch += 1
-            del touched[:]
-            append = touched.append
-            row = pairs[i]
-            for j, w in row:
-                c = comm[j]
-                if stamp[c] == epoch:
-                    acc[c] += w
-                else:
-                    stamp[c] = epoch
-                    acc[c] = w
-                    append(c)
-            if not touched or (len(touched) == 1 and touched[0] == p):
-                continue
-            touched.sort()
-            w_self = loop[i]
-            w_ext = ext[i]
-            half_ext = w_ext / 2.0
-            w_p = acc[p] if stamp[p] == epoch else 0.0
-            sigma_p = sigma[p]
-            lam_hat_p = lam_hat[p]
-            sigma_new = sigma_p - w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
-            lam_hat_new = lam_hat_p - w_self - half_ext
-            if sigma_new <= lam or sigma_new == 0.0:
-                after = lam_hat_new
-            else:
-                after = lam / sigma_new * lam_hat_new
-            leave = after - thpt[p]
-            best_q = -1
-            best_gain = neg_inf
-            for q in touched:
-                if q == p:
-                    continue
-                w_q = acc[q]
-                sigma_q = sigma[q]
-                sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
-                lam_hat_new = lam_hat[q] + w_self + half_ext
-                if sigma_new <= lam or sigma_new == 0.0:
-                    join_after = lam_hat_new
-                else:
-                    join_after = lam / sigma_new * lam_hat_new
-                gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_q = q
-            if best_q >= 0 and best_gain > 0.0:
-                half = w_self + half_ext
-                w_q = acc[best_q] if stamp[best_q] == epoch else 0.0
-                sigma_p = sigma[p] + (-w_self - eta * (w_ext - w_p) + eta_minus_one * w_p)
-                sigma[p] = sigma_p
-                lam_hat_p = lam_hat[p] - half
-                lam_hat[p] = lam_hat_p
-                sigma_q = sigma[best_q] + (w_self + eta * (w_ext - w_q) + one_minus_eta * w_q)
-                sigma[best_q] = sigma_q
-                lam_hat_q = lam_hat[best_q] + half
-                lam_hat[best_q] = lam_hat_q
-                if sigma_p <= lam or sigma_p == 0.0:
-                    thpt[p] = lam_hat_p
-                else:
-                    thpt[p] = lam / sigma_p * lam_hat_p
-                if sigma_q <= lam or sigma_q == 0.0:
-                    thpt[best_q] = lam_hat_q
-                else:
-                    thpt[best_q] = lam / sigma_q * lam_hat_q
-                comm[i] = best_q
-                counts[p] -= 1
-                counts[best_q] += 1
-                sweep_gain += best_gain
-                moves += 1
-                for j, _w in row:
-                    if not in_next[j]:
-                        in_next[j] = 1
-                        next_ids.append(j)
-        if sweep_gain < epsilon or not next_ids:
-            break
-        next_ids.sort()
-        for j in next_ids:
-            in_next[j] = 0
-        current = next_ids
-    flat.epoch = epoch
-    return sweeps, moves
-
-
-# ======================================================================
-# A-TxAllo on a snapshot of the touched neighbourhoods
-# ======================================================================
-def a_txallo_flat(
-    alloc: Allocation,
-    touched: Iterable[Node],
-    epsilon: float,
-    workspace: Optional["AdaptiveWorkspace"] = None,
-) -> Tuple[int, int, int, int, bool]:
-    """Algorithm 2 on flat snapshots, mutating ``alloc`` in place.
-
-    Returns ``(new_nodes, swept_nodes, sweeps, moves, converged)`` —
-    ``converged`` is ``False`` when the run exhausted the sweep cap
-    before the per-sweep gain dropped below ``epsilon``.
-
-    ``workspace`` switches to the batched path: the touched
-    neighbourhoods are read from the persistent
-    :class:`AdaptiveWorkspace` views (kept current via the graph's
-    mutation journal) instead of a fresh per-run snapshot of the frozen
-    CSR.  Byte-identical results either way — the workspace is a cache,
-    not a backend level (see the module docstring).
-
-    The graph does not change during a run, so each touched node's
-    neighbourhood is scanned **once** into flat arrays: per-neighbour
-    weight plus either the neighbour's fixed community (untouched nodes
-    cannot move) or an indirection slot into the touched set (touched
-    nodes can).  Sweeps then re-evaluate from the snapshot without ever
-    re-hashing an account string.  Assignments and moves are applied
-    through :meth:`Allocation.assign` / :meth:`Allocation.move` with the
-    accumulated weights, so the cache arithmetic is the reference's own.
-
-    The per-node rows come from the graph's frozen CSR form, which
-    :meth:`TransactionGraph.freeze` maintains *incrementally* between
-    runs (delta-freeze): on the controller path, where each block only
-    perturbs a small frontier, refreshing the snapshot costs work
-    proportional to that frontier instead of a from-scratch O(N + E)
-    lowering.  CSR rows replay the adjacency-dict iteration order and
-    ``loop``/``ext`` are the same accumulated floats, so the run stays
-    byte-identical to the reference backend.
-    """
-    if workspace is not None:
-        return _a_txallo_workspace(alloc, touched, epsilon, workspace)
-    graph = alloc.graph
-    params = alloc.params
-    k = params.k
-    eta = params.eta
-    lam = params.lam
-    num_comms = alloc.num_communities
-    shard_of = alloc._shard_of
-
-    csr = graph.freeze()
-    index_of = csr.index_of
-    csr_nodes = csr.nodes
-    csr_pairs = csr.pairs
-
-    hat_v: List[Node] = sorted(set(touched))
-    nv = len(hat_v)
-    ids: List[int] = []
-    for v in hat_v:
-        try:
-            ids.append(index_of[v])
-        except KeyError:
-            raise GraphError(f"unknown node {v!r}") from None
-    local_slot = {i: s for s, i in enumerate(ids)}
-    local_shard = [shard_of.get(v, -1) for v in hat_v]
-
-    # --- one-time neighbourhood snapshot --------------------------------
-    # Per neighbour entry ``(code, w)``: ``code >= 0`` is the fixed
-    # community of an untouched assigned neighbour; ``code < 0`` is
-    # ``~slot`` of a touched neighbour (community read through
-    # ``local_shard`` at evaluation time).  Untouched *unassigned*
-    # neighbours are dropped — they never contribute shard weight and
-    # ``w_ext`` comes precomputed from the frozen form (``csr.ext`` sums
-    # the same floats in the same row order as a dict scan would).
-    snap: List[List[Tuple[int, float]]] = []
-    self_w = [0.0] * nv
-    ext_w = [0.0] * nv
-    for s, i in enumerate(ids):
-        entries: List[Tuple[int, float]] = []
-        for j, w in csr_pairs[i]:
-            slot = local_slot.get(j)
-            if slot is not None:
-                entries.append((~slot, w))
-            else:
-                c = shard_of.get(csr_nodes[j])
-                if c is not None:
-                    entries.append((c, w))
-        self_w[s] = csr.loop[i]
-        ext_w[s] = csr.ext[i]
-        snap.append(entries)
-
-    acc = [0.0] * num_comms
-    stamp = [0] * num_comms
-    epoch = 0
-
-    def scan(s: int) -> List[int]:
-        nonlocal epoch
-        epoch += 1
-        touched_comms: List[int] = []
-        for code, w in snap[s]:
-            c = code if code >= 0 else local_shard[~code]
-            if c < 0:
-                continue  # touched neighbour still unassigned
-            if stamp[c] == epoch:
-                acc[c] += w
-            else:
-                stamp[c] = epoch
-                acc[c] = w
-                touched_comms.append(c)
-        return touched_comms
-
-    def weights_triple(s: int, touched_comms: List[int]):
-        by_shard = {c: acc[c] for c in touched_comms}
-        return by_shard, self_w[s], ext_w[s]
-
-    def join_gain(q: int, w_q: float, w_self: float, w_ext: float) -> float:
-        sigma_q = alloc.sigma[q]
-        lam_hat_q = alloc.lam_hat[q]
-        sigma_new = sigma_q + w_self + eta * (w_ext - w_q) + (1.0 - eta) * w_q
-        lam_hat_new = lam_hat_q + w_self + w_ext / 2.0
-        if sigma_q <= lam or sigma_q == 0.0:
-            before = lam_hat_q
-        else:
-            before = lam / sigma_q * lam_hat_q
-        if sigma_new <= lam or sigma_new == 0.0:
-            after = lam_hat_new
-        else:
-            after = lam / sigma_new * lam_hat_new
-        return after - before
-
-    # --- Phase 1: brand-new accounts (Algorithm 2, lines 1-8) -----------
-    new_slots = [s for s in range(nv) if local_shard[s] < 0]
-    for s in new_slots:
-        touched_comms = scan(s)
-        w_self = self_w[s]
-        w_ext = ext_w[s]
-        candidates: Iterable[int] = sorted(
-            c for c in touched_comms if c < k and acc[c] > 0.0
-        )
-        if not candidates:
-            candidates = range(k)
-        best_q = -1
-        best_gain = -float("inf")
-        for q in candidates:
-            w_q = acc[q] if stamp[q] == epoch else 0.0
-            gain = join_gain(q, w_q, w_self, w_ext)
-            if gain > best_gain:
-                best_gain = gain
-                best_q = q
-        alloc.assign(hat_v[s], best_q, weights=weights_triple(s, touched_comms))
-        local_shard[s] = best_q
-
-    # --- Phase 2: optimise the touched set (lines 9-17) -----------------
-    # Inlined like _optimise_flat: arrays in locals, per-community capped
-    # throughput cached (a pure function of sigma/lam_hat, refreshed on
-    # the communities each assign/move touches — bit-identical reads).
-    sigma = alloc.sigma
-    lam_hat = alloc.lam_hat
-    one_minus_eta = 1.0 - eta
-    eta_minus_one = eta - 1.0
-    neg_inf = -float("inf")
-    thpt = [0.0] * num_comms
-    for c in range(num_comms):
-        sigma_c = sigma[c]
-        if sigma_c <= lam or sigma_c == 0.0:
-            thpt[c] = lam_hat[c]
-        else:
-            thpt[c] = lam / sigma_c * lam_hat[c]
-
-    touched_comms: List[int] = []
-    sweeps = 0
-    moves = 0
-    converged = False
-    while sweeps < _ADAPTIVE_MAX_SWEEPS:
-        sweeps += 1
-        sweep_gain = 0.0
-        for s in range(nv):
-            p = local_shard[s]
-            epoch += 1
-            del touched_comms[:]
-            append = touched_comms.append
-            for code, w in snap[s]:
-                c = code if code >= 0 else local_shard[~code]
-                if c < 0:
-                    continue  # touched neighbour still unassigned
-                if stamp[c] == epoch:
-                    acc[c] += w
-                else:
-                    stamp[c] = epoch
-                    acc[c] = w
-                    append(c)
-            if not touched_comms or (
-                len(touched_comms) == 1 and touched_comms[0] == p
-            ):
-                continue
-            touched_comms.sort()
-            w_self = self_w[s]
-            w_ext = ext_w[s]
-            half_ext = w_ext / 2.0
-            w_p = acc[p] if stamp[p] == epoch else 0.0
-            sigma_new = sigma[p] - w_self - eta * (w_ext - w_p) + eta_minus_one * w_p
-            lam_hat_new = lam_hat[p] - w_self - half_ext
-            if sigma_new <= lam or sigma_new == 0.0:
-                after = lam_hat_new
-            else:
-                after = lam / sigma_new * lam_hat_new
-            leave = after - thpt[p]
-            best_q = -1
-            best_gain = neg_inf
-            for q in touched_comms:
-                if q == p:
-                    continue
-                w_q = acc[q]
-                sigma_new = sigma[q] + w_self + eta * (w_ext - w_q) + one_minus_eta * w_q
-                lam_hat_new = lam_hat[q] + w_self + half_ext
-                if sigma_new <= lam or sigma_new == 0.0:
-                    join_after = lam_hat_new
-                else:
-                    join_after = lam / sigma_new * lam_hat_new
-                gain = leave + (join_after - thpt[q])
-                if gain > best_gain:
-                    best_gain = gain
-                    best_q = q
-            if best_q >= 0 and best_gain > 0.0:
-                alloc.move(hat_v[s], best_q, weights=weights_triple(s, touched_comms))
-                local_shard[s] = best_q
-                sigma_p = sigma[p]
-                if sigma_p <= lam or sigma_p == 0.0:
-                    thpt[p] = lam_hat[p]
-                else:
-                    thpt[p] = lam / sigma_p * lam_hat[p]
-                sigma_q = sigma[best_q]
-                if sigma_q <= lam or sigma_q == 0.0:
-                    thpt[best_q] = lam_hat[best_q]
-                else:
-                    thpt[best_q] = lam / sigma_q * lam_hat[best_q]
-                sweep_gain += best_gain
-                moves += 1
-        if sweep_gain < epsilon:
-            converged = True
-            break
-
-    return len(new_slots), nv, sweeps, moves, converged
 
 
 # ======================================================================
@@ -1481,7 +1121,7 @@ class AdaptiveWorkspace:
     other code path assigned or moved accounts without the workspace).
 
     The workspace is a cache, not a backend level — runs through it are
-    byte-identical to the snapshot-per-run fast path (module docstring
+    byte-identical to the per-run CSR view (module docstring
     has the argument; the parity suites pin it).
     """
 
@@ -1631,56 +1271,116 @@ class AdaptiveWorkspace:
         self._counts["runs"] += 1
 
 
-def _a_txallo_workspace(
+# ======================================================================
+# A-TxAllo (Algorithm 2) on flat views
+# ======================================================================
+def a_txallo_flat(
     alloc: Allocation,
     touched: Iterable[Node],
     epsilon: float,
-    workspace: AdaptiveWorkspace,
+    workspace: Optional[AdaptiveWorkspace] = None,
 ) -> Tuple[int, int, int, int, bool]:
-    """Algorithm 2 against the persistent workspace views.
+    """Algorithm 2 on flat views, mutating ``alloc`` in place.
 
-    Structurally the same two phases as the snapshot path in
-    :func:`a_txallo_flat`, but the per-run snapshot build (and the freeze
-    behind it) is replaced by :meth:`AdaptiveWorkspace.sync`.  Per-node
-    ``w_ext`` is re-summed from the row map in row order — the identical
-    float sequence a CSR lowering would produce — and neighbour
-    communities are read live through the dense ``shard`` array, which
-    the applied assigns/moves keep in lockstep with ``alloc``.  Scan
-    accumulation order matches the snapshot path entry for entry, so the
-    two paths are byte-identical.
+    Returns ``(new_nodes, swept_nodes, sweeps, moves, converged)`` —
+    ``converged`` is ``False`` when the run exhausted the sweep cap
+    before the per-sweep gain dropped below ``epsilon``.
+
+    The graph does not change during a run, so each touched node's
+    neighbourhood is materialised **once** as ``(neighbour_id, weight)``
+    row items plus its ``w_self``/``w_ext``, and neighbour communities
+    are read through an id-indexed ``shard`` view (-1 when unassigned)
+    that the applied assigns/moves keep in lockstep with ``alloc``.  Both
+    view sources below feed the one sweep body, :func:`_a_txallo_sweep`:
+
+    * ``workspace`` (the τ₁ loop's batched path): the persistent
+      :class:`AdaptiveWorkspace` views, kept current from the graph's
+      mutation journal — no freeze.  ``w_ext`` is re-summed from the row
+      map in row order, the identical float sequence a CSR lowering
+      produces;
+    * otherwise a fresh per-run view: the graph's frozen CSR ``pairs``
+      rows and ``loop``/``ext`` floats (:meth:`TransactionGraph.freeze`
+      maintains that form incrementally between runs), and a dict
+      giving the shard of every id in the touched neighbourhoods.
+
+    CSR rows and the workspace row maps replay the adjacency-dict
+    iteration order, so either view is byte-identical to the reference
+    backend (``tests/test_engine_parity.py`` pins it).
     """
-    workspace.sync(alloc)
+    hat_v: List[Node] = sorted(set(touched))
+    if workspace is not None:
+        workspace.sync(alloc)
+        ids = _node_ids(workspace._index_of, hat_v)
+        rows = workspace._rows
+        loop = workspace._loop
+        row_items: List[Sequence[Tuple[int, float]]] = []
+        self_w: List[float] = []
+        ext_w: List[float] = []
+        for i in ids:
+            row = rows[i]
+            row_items.append(list(row.items()))
+            self_w.append(loop[i])
+            ext_w.append(sum(row.values()))
+        result = _a_txallo_sweep(
+            alloc, hat_v, ids, row_items, self_w, ext_w, workspace._shard, epsilon
+        )
+        workspace._note_run(alloc)
+        return result
+
+    csr = alloc.graph.freeze()
+    ids = _node_ids(csr.index_of, hat_v)
+    pairs = csr.pairs
+    row_items = [pairs[i] for i in ids]
+    nodes = csr.nodes
+    shard_of = alloc._shard_of
+    shard = {j: shard_of.get(nodes[j], -1) for row in row_items for j, _w in row}
+    shard.update((i, shard_of.get(v, -1)) for i, v in zip(ids, hat_v))
+    return _a_txallo_sweep(
+        alloc,
+        hat_v,
+        ids,
+        row_items,
+        [csr.loop[i] for i in ids],
+        [csr.ext[i] for i in ids],
+        shard,
+        epsilon,
+    )
+
+
+def _node_ids(index_of: Dict[Node, int], hat_v: List[Node]) -> List[int]:
+    try:
+        return [index_of[v] for v in hat_v]
+    except KeyError as exc:
+        raise GraphError(f"unknown node {exc.args[0]!r}") from None
+
+
+def _a_txallo_sweep(
+    alloc: Allocation,
+    hat_v: List[Node],
+    ids: List[int],
+    row_items: List[Sequence[Tuple[int, float]]],
+    self_w: List[float],
+    ext_w: List[float],
+    shard,
+    epsilon: float,
+) -> Tuple[int, int, int, int, bool]:
+    """The two phases of Algorithm 2 over prepared views.
+
+    Slot ``s`` is touched node ``hat_v[s]`` with dense id ``ids[s]``;
+    ``shard`` maps dense ids to communities (a list or a dict) and is
+    updated in lockstep with every ``assign``/``move``.  Assign/move
+    take *minimal* weight triples — they only ever read the source and
+    destination communities (``by_shard.get(p)`` / ``.get(q)``), and
+    the values are the same stamped accumulator reads a full
+    per-community dict would carry, so the cache arithmetic is the
+    reference's own, bit for bit.
+    """
     params = alloc.params
     k = params.k
     eta = params.eta
     lam = params.lam
     num_comms = alloc.num_communities
-    index_of = workspace._index_of
-    rows = workspace._rows
-    loop = workspace._loop
-    shard = workspace._shard
-
-    hat_v: List[Node] = sorted(set(touched))
     nv = len(hat_v)
-    ids: List[int] = []
-    for v in hat_v:
-        try:
-            ids.append(index_of[v])
-        except KeyError:
-            raise GraphError(f"unknown node {v!r}") from None
-
-    # Materialise each touched row once (the graph cannot mutate during a
-    # run) and re-derive w_self / w_ext: loop is maintained bit-exactly,
-    # and sum() over the row map adds the same floats left-to-right in
-    # iteration order — exactly the lowering's accumulation of csr.ext.
-    row_items: List[List[Tuple[int, float]]] = []
-    self_w = [0.0] * nv
-    ext_w = [0.0] * nv
-    for s, i in enumerate(ids):
-        row = rows[i]
-        row_items.append(list(row.items()))
-        self_w[s] = loop[i]
-        ext_w[s] = sum(row.values())
 
     acc = [0.0] * num_comms
     stamp = [0] * num_comms
@@ -1702,11 +1402,6 @@ def _a_txallo_workspace(
                 touched_comms.append(c)
         return touched_comms
 
-    # Assign/move below pass *minimal* weight triples — only the source
-    # and destination communities are ever read (``by_shard.get(p)`` /
-    # ``.get(q)``), and the values are the same stamped accumulator reads
-    # the full per-community dict would carry, so the cache arithmetic is
-    # bit-identical to the snapshot path's ``weights_triple``.
     def join_gain(q: int, w_q: float, w_self: float, w_ext: float) -> float:
         sigma_q = alloc.sigma[q]
         lam_hat_q = alloc.lam_hat[q]
@@ -1837,5 +1532,4 @@ def _a_txallo_workspace(
             converged = True
             break
 
-    workspace._note_run(alloc)
     return len(new_slots), nv, sweeps, moves, converged

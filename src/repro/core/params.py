@@ -13,15 +13,8 @@ The paper exposes six hyperparameters:
 * ``tau1``   — adaptive (A-TxAllo) update period, in blocks.
 * ``tau2``   — global (G-TxAllo) update period, in blocks (``tau1 < tau2``).
 
-Two implementation knobs ride along:
+One implementation knob rides along:
 
-* ``workers`` — how many cores the workers-aware execution paths may
-  use (the ``"parallel"`` backend's shard-parallel A-TxAllo sweeps; the
-  evaluation grid takes its own ``workers`` argument since it is a
-  harness concern, not an allocation parameter).  Semantically inert:
-  every backend produces the identical allocation for any ``workers``
-  value — the knob trades wall-clock only, and tiers that are not
-  ``workers_aware`` ignore it outright.
 * ``backend`` — any tier registered in the engine-backend registry
   (:mod:`repro.core.backends`).  ``"fast"`` (default) runs the
   allocators on the flat-array sweep engine over the frozen CSR graph
@@ -79,15 +72,10 @@ class TxAlloParams:
     tau1: int = 300
     tau2: int = 6000
     backend: str = "fast"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.k, int) or self.k < 1:
             raise ParameterError(f"number of shards k must be a positive int, got {self.k!r}")
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise ParameterError(
-                f"worker count workers must be a positive int, got {self.workers!r}"
-            )
         if not self.eta >= 1.0:
             raise ParameterError(f"cross-shard workload eta must be >= 1, got {self.eta!r}")
         if not self.lam > 0:
@@ -120,7 +108,6 @@ class TxAlloParams:
         tau1: int = 300,
         tau2: int = 6000,
         backend: str = "fast",
-        workers: int = 1,
     ) -> "TxAlloParams":
         """Build parameters using the paper's evaluation conventions.
 
@@ -138,7 +125,6 @@ class TxAlloParams:
             tau1=tau1,
             tau2=tau2,
             backend=backend,
-            workers=workers,
         )
 
     def replace(self, **changes) -> "TxAlloParams":

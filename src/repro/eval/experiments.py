@@ -607,16 +607,12 @@ def figure9(
     split_ratio: float = 0.9,
     max_steps: int = 0,
     backend: str = "fast",
-    workers: int = 1,
 ) -> Figure9Report:
     """Fig. 9: A-TxAllo throughput evolution for several global gaps.
 
     ``window_blocks`` is the adaptive period τ₁ in blocks (0 = auto so the
     evaluation stream yields ~40 windows); ``max_steps`` truncates the
     stream (0 = use all windows).  The paper's τ₁ is 300 blocks (≈1 hour).
-    ``workers`` lands in :attr:`TxAlloParams.workers`: workers-aware
-    backends (``"parallel"``) thread their adaptive window sweeps, all
-    others ignore it.
     """
     train, evaluation = workload.blocks.split(split_ratio)
     if window_blocks <= 0:
@@ -626,7 +622,7 @@ def figure9(
         windows = windows[:max_steps]
 
     params = TxAlloParams.with_capacity_for(
-        train.num_transactions, k=k, eta=eta, backend=backend, workers=workers
+        train.num_transactions, k=k, eta=eta, backend=backend
     )
     train_graph = TransactionGraph()
     for s in train.account_sets():
@@ -685,7 +681,6 @@ def figure10(
     split_ratio: float = 0.9,
     max_steps: int = 0,
     backend: str = "fast",
-    workers: int = 1,
 ) -> Figure10Report:
     """Fig. 10: runtime of pure-global vs. hybrid updating (τ₂ = gap·τ₁)."""
     report = figure9(
@@ -697,7 +692,6 @@ def figure10(
         split_ratio=split_ratio,
         max_steps=max_steps,
         backend=backend,
-        workers=workers,
     )
     return Figure10Report(
         pure=report.runs["Global Method"],

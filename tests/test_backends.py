@@ -152,8 +152,13 @@ class TestNumpyAbsentFallback:
             backends.unregister_backend("doomed")
 
 
+class TestBuiltinTiers:
+    def test_four_tier_ladder(self):
+        assert backends.names() == ("fast", "reference", "turbo", "vector")
+
+
 class TestRegistryExtensibility:
-    """Satellite 6: a fourth tier is one register_backend call."""
+    """Satellite 6: a new tier is one register_backend call."""
 
     @pytest.fixture
     def dummy_backend(self):

@@ -1,8 +1,10 @@
 """Tests for the τ₁/τ₂ dynamic controller."""
 
+import random
 
 import pytest
 
+from repro.core import backends
 from repro.core.controller import TxAlloController
 from repro.core.params import TxAlloParams
 from repro.data.synthetic import EthereumWorkloadGenerator, WorkloadConfig
@@ -320,3 +322,81 @@ class TestAdaptiveWorkspace:
         ]
         assert on.workspace_stats["extends"] > 0
         assert off.workspace_stats == {"rebuilds": 0, "extends": 0, "runs": 0}
+
+
+def _random_blocks(seed, accounts=260, blocks=12, txs=60):
+    rng = random.Random(seed)
+    pool = [f"acc{i:03d}" for i in range(accounts)]
+    return [
+        [tuple(rng.sample(pool, rng.choice([2, 2, 3]))) for _ in range(txs)]
+        for _ in range(blocks)
+    ]
+
+
+def _run_stream(blocks, backend, adaptive_workspace=True):
+    # Finite lam = |T|/k so the adaptive sweeps chase real gains — with
+    # the uncapped default every join/leave pair cancels exactly.
+    params = TxAlloParams.with_capacity_for(
+        sum(len(b) for b in blocks),
+        k=8,
+        eta=2.0,
+        tau1=2,
+        tau2=10**6,
+        backend=backend,
+    )
+    controller = TxAlloController(params, adaptive_workspace=adaptive_workspace)
+    for block in blocks:
+        controller.observe_block(block)
+    return controller
+
+
+def _event_trace(controller):
+    return [
+        (e.kind, e.block_height, e.moves, e.touched, e.converged)
+        for e in controller.events
+    ]
+
+
+WORKSPACE_TIERS = [
+    pytest.param(
+        name,
+        marks=pytest.mark.skipif(
+            not backends.get_backend(name).available(),
+            reason=f"{name} tier unavailable",
+        ),
+    )
+    for name in backends.names()
+    if backends.get_backend(name).uses_workspace
+]
+
+
+class TestInterleavedStreams:
+    """Random ingest/adaptive interleavings under a finite capacity."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_fast_matches_reference_with_and_without_workspace(self, seed):
+        blocks = _random_blocks(seed)
+        ref = _run_stream(blocks, "reference")
+        off = _run_stream(blocks, "fast", adaptive_workspace=False)
+        on = _run_stream(blocks, "fast")
+        assert ref.mapping() == off.mapping() == on.mapping()
+        assert ref.allocation.sigma == off.allocation.sigma == on.allocation.sigma
+        assert (
+            ref.allocation.lam_hat == off.allocation.lam_hat == on.allocation.lam_hat
+        )
+        assert _event_trace(ref) == _event_trace(off) == _event_trace(on)
+        assert sum(e.moves for e in on.adaptive_events) > 0
+
+    @pytest.mark.parametrize("backend", WORKSPACE_TIERS)
+    def test_workspace_rides_every_workspace_tier(self, backend):
+        blocks = _random_blocks(5, blocks=8)
+        on = _run_stream(blocks, backend)
+        off = _run_stream(blocks, backend, adaptive_workspace=False)
+        stats = on.workspace_stats
+        assert stats["runs"] >= 3
+        assert stats["extends"] >= 1
+        assert on.mapping() == off.mapping()
+        assert on.allocation.sigma == off.allocation.sigma
+        assert _event_trace(on) == _event_trace(off)
+        on.force_adaptive()
+        on.allocation.validate()

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core import backends
 from repro.core.atxallo import a_txallo
 from repro.core.graph import TransactionGraph
 from repro.core.gtxallo import g_txallo
@@ -263,9 +264,64 @@ def _atxallo_workspace_state(seed, k, rounds=3):
     return alloc, stats, workspace
 
 
+def _unassigned_neighbour_state(path, rounds=4):
+    """Evolve one allocation through windows that leave accounts unassigned.
+
+    Each window adds brand-new accounts ``a<r>`` and ``c<r>`` that share a
+    transaction, so when phase 1 reaches ``a<r>`` its touched neighbour
+    ``c<r>`` is still unassigned; and a new ``hidden<r>`` that is ingested
+    but left out of the touched set, so touched accounts also neighbour an
+    *untouched* unassigned account.  The next window touches the previous
+    ``hidden`` account, assigning it.  ``path`` is ``"reference"``,
+    ``"per-run"`` (fast without a workspace) or ``"workspace"`` (fast with
+    one workspace carried across every window).
+    """
+    from repro.core.engine import AdaptiveWorkspace
+
+    g = make_random_graph(num_accounts=80, num_transactions=500, seed=11, groups=4)
+    backend = "reference" if path == "reference" else "fast"
+    params = TxAlloParams.with_capacity_for(500, k=4, eta=2.0, backend=backend)
+    alloc = g_txallo(g, params).allocation
+    workspace = AdaptiveWorkspace() if path == "workspace" else None
+    rng = random.Random(11)
+    nodes = sorted(g.nodes())
+    results = []
+    for round_ in range(rounds):
+        a, c, hidden = f"a{round_}", f"c{round_}", f"hidden{round_}"
+        old = rng.sample(nodes, 3)
+        txs = [(a, c, hidden, old[0]), (c, old[1]), (hidden, old[2])]
+        if round_:
+            txs.append((f"hidden{round_ - 1}", rng.choice(nodes)))
+        txs += [tuple(rng.sample(nodes, 2)) for _ in range(30)]
+        touched = _ingest(g, alloc, txs) - {hidden}
+        result = a_txallo(alloc, touched, workspace=workspace)
+        assert not alloc.is_assigned(hidden)
+        results.append(
+            (
+                result.new_nodes,
+                result.swept_nodes,
+                result.sweeps,
+                result.moves,
+                result.converged,
+            )
+        )
+    return alloc, results, workspace
+
+
 class TestAdaptiveWorkspaceParity:
     """The workspace is a cache, not a backend level: batched runs must be
     byte-identical to snapshot-per-run fast (and hence reference) runs."""
+
+    def test_unassigned_neighbours_inside_and_outside_the_window(self):
+        ref_alloc, ref_results, _ = _unassigned_neighbour_state("reference")
+        run_alloc, run_results, _ = _unassigned_neighbour_state("per-run")
+        ws_alloc, ws_results, workspace = _unassigned_neighbour_state("workspace")
+        assert ref_results == run_results == ws_results
+        assert ref_alloc.mapping() == run_alloc.mapping() == ws_alloc.mapping()
+        assert ref_alloc.sigma == run_alloc.sigma == ws_alloc.sigma  # exact
+        assert ref_alloc.lam_hat == run_alloc.lam_hat == ws_alloc.lam_hat
+        assert workspace.stats["rebuilds"] == 1
+        assert workspace.stats["extends"] == 3  # carried over every window
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("k", (2, 6))
@@ -380,3 +436,69 @@ class TestAdaptiveWorkspaceParity:
         assert alloc.mapping() == twin.mapping()
         assert alloc.sigma == twin.sigma
         assert alloc.lam_hat == twin.lam_hat
+
+
+def _scrambled_clique_window(backend, path):
+    """One A-TxAllo window where every touched node conflicts with the rest.
+
+    Eighty accounts are chained into a dense clique spanning the shards and
+    then dealt round-robin across them, so the window starts far from its
+    fixed point and every move changes the gains of the whole window.
+    ``path`` is ``"per-run"`` or ``"workspace"`` (a fresh workspace).
+    """
+    from repro.core.allocation import Allocation
+    from repro.core.engine import AdaptiveWorkspace
+
+    graph = make_random_graph(num_accounts=120, num_transactions=600, seed=7)
+    params = TxAlloParams.with_capacity_for(600, k=4, eta=2.0, backend=backend)
+    good = g_txallo(graph, params, backend="fast").allocation
+    rng = random.Random(13)
+    clique = sorted(rng.sample(sorted(graph.nodes()), 80))
+    for i in range(len(clique) - 1):
+        graph.add_transaction((clique[i], clique[i + 1], clique[(i + 40) % 80]))
+    mapping = good.mapping()
+    for i, v in enumerate(clique):
+        mapping[v] = i % params.k
+    alloc = Allocation.from_partition(
+        graph, params, mapping, num_communities=good.num_communities
+    )
+    workspace = AdaptiveWorkspace() if path == "workspace" else None
+    result = a_txallo(alloc, clique, workspace=workspace)
+    outcome = (
+        result.new_nodes,
+        result.swept_nodes,
+        result.sweeps,
+        result.moves,
+        result.converged,
+    )
+    return alloc, outcome
+
+
+class TestOverlappingWindowParity:
+    """Every tier's A-TxAllo kernel is byte-identical to the reference on
+    a window whose touched nodes all neighbour one another."""
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            pytest.param(
+                name,
+                marks=pytest.mark.skipif(
+                    not backends.get_backend(name).available(),
+                    reason=f"{name} tier unavailable",
+                ),
+            )
+            for name in backends.names()
+            if name != "reference"
+        ],
+    )
+    def test_scrambled_clique_window(self, backend):
+        ref_alloc, ref_outcome = _scrambled_clique_window("reference", "per-run")
+        run_alloc, run_outcome = _scrambled_clique_window(backend, "per-run")
+        ws_alloc, ws_outcome = _scrambled_clique_window(backend, "workspace")
+        assert ref_outcome[1] == 80 and ref_outcome[3] > 0
+        assert ref_outcome == run_outcome == ws_outcome
+        assert ref_alloc.mapping() == run_alloc.mapping() == ws_alloc.mapping()
+        assert ref_alloc.sigma == run_alloc.sigma == ws_alloc.sigma  # exact
+        assert ref_alloc.lam_hat == run_alloc.lam_hat == ws_alloc.lam_hat
+        ws_alloc.validate(check_caches=True)

@@ -73,5 +73,11 @@ class TestConveniences:
         with pytest.raises(Exception):
             p.k = 5  # type: ignore[misc]
 
+    def test_no_worker_knob(self):
+        # Process fan-out is a harness argument (experiments.sweep), not
+        # an allocation parameter.
+        with pytest.raises(TypeError):
+            TxAlloParams(k=2, workers=2)
+
     def test_default_capacity_is_infinite(self):
         assert TxAlloParams(k=2).lam == math.inf

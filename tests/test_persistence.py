@@ -112,6 +112,55 @@ class TestCorruption:
             load_allocation(path)
 
 
+#: A checkpoint as written by builds that still carried the
+#: ``TxAlloParams.workers`` knob and the ``"parallel"`` backend tier.
+WORKERS_CHECKPOINT = {
+    "block_height": 12,
+    "digest": "7274e2082d24253c16725e17aade2d04e0163b8aea674ccad6d831cc0e3fbbef",
+    "format": "txallo-allocation-v1",
+    "mapping": MAPPING,
+    "params": {
+        "backend": "fast",
+        "epsilon": 0.001,
+        "eta": 2.0,
+        "k": 2,
+        "lam": 100.0,
+        "tau1": 3,
+        "tau2": 9,
+        "workers": 4,
+    },
+}
+
+
+class TestOlderCheckpoints:
+    def test_workers_field_is_ignored(self, tmp_path):
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps(WORKERS_CHECKPOINT, indent=1, sort_keys=True))
+        checkpoint = AllocationCheckpoint.load(path)
+        assert checkpoint.mapping == MAPPING
+        assert checkpoint.params == PARAMS
+        assert checkpoint.block_height == 12
+        assert checkpoint.digest == WORKERS_CHECKPOINT["digest"]
+
+    def test_new_checkpoints_carry_no_workers_field(self, tmp_path):
+        path = tmp_path / "alloc.json"
+        save_allocation(path, MAPPING, PARAMS, block_height=12)
+        payload = json.loads(path.read_text())
+        assert "workers" not in payload["params"]
+        expected = dict(WORKERS_CHECKPOINT["params"])
+        del expected["workers"]
+        assert payload["params"] == expected
+        assert payload["digest"] == WORKERS_CHECKPOINT["digest"]
+
+    def test_unregistered_backend_names_the_backend(self, tmp_path):
+        payload = json.loads(json.dumps(WORKERS_CHECKPOINT))
+        payload["params"]["backend"] = "parallel"
+        path = tmp_path / "alloc.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="unknown backend 'parallel'"):
+            load_allocation(path)
+
+
 class TestMinerAgreement:
     def test_two_miners_same_digest(self, small_workload):
         """The determinism story end to end: independent G-TxAllo runs
