@@ -50,8 +50,8 @@ except ImportError:
 from repro.core.parallel import pin_blas_threads
 
 # Explicit thread ownership for honest timings: pin the BLAS/OpenMP
-# knobs before any repro import can pull numpy in (the multi-core
-# layer owns its parallelism -- see repro.core.parallel).
+# knobs before any repro import (the multi-core layer owns its
+# parallelism -- see repro.core.parallel).
 pin_blas_threads()
 
 from repro.core.controller import TxAlloController

@@ -20,11 +20,11 @@ import os
 
 import pytest
 
-# Pin BLAS/OpenMP thread counts before any repro import can pull numpy
-# in: bench timings must not be skewed by library-level oversubscription
-# (the multi-core layer owns its parallelism explicitly — see
-# repro.core.parallel).  The import is deliberately placed ahead of
-# repro.eval below.
+# Pin BLAS/OpenMP thread counts before any repro import: bench timings
+# must not be skewed by library-level oversubscription if something on
+# the host loads a threaded native library (the multi-core layer owns
+# its parallelism explicitly — see repro.core.parallel).  The import is
+# deliberately placed ahead of repro.eval below.
 from repro.core.parallel import blas_threads_pinned, pin_blas_threads
 
 pin_blas_threads()
@@ -58,12 +58,12 @@ def pytest_addoption(parser):
 def _assert_blas_pinned():
     """Every bench test runs under an explicit BLAS/OpenMP thread pin.
 
-    The pin itself happens at module import above (before numpy loads);
+    The pin itself happens at module import above;
     this just fails loudly if some future import shuffle drops it.
     """
     assert blas_threads_pinned(), (
         "BLAS/OpenMP thread knobs are unpinned — pin_blas_threads() must "
-        "run at benchmarks/conftest.py import, before numpy loads"
+        "run at benchmarks/conftest.py import"
     )
     yield
 

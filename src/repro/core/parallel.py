@@ -18,9 +18,8 @@ same warmed path inline — the fallback is a slower spelling of the same
 computation, not a different one.
 
 :func:`pin_blas_threads` pins the BLAS/OpenMP thread-count environment
-knobs (``OMP_NUM_THREADS`` etc.) so process-pool workers and numpy's
-own threading do not oversubscribe cores under the benches; every
-``benchmarks/bench_*.py`` calls it before numpy can load, and
+knobs (``OMP_NUM_THREADS`` etc.) for the benchmark harnesses; every
+``benchmarks/bench_*.py`` and ``perfbench/run.py`` call it, and
 ``benchmarks/conftest.py`` asserts the pin.
 """
 
@@ -46,10 +45,13 @@ BLAS_ENV_VARS = (
 def pin_blas_threads(count: int = 1) -> Dict[str, str]:
     """Pin BLAS/OpenMP thread counts via the standard environment knobs.
 
-    Must run before numpy first loads to be fully effective (the benches
-    call it at the top of the module, ahead of any ``repro`` import that
-    could pull the vector tier in).  Uses ``setdefault``, so explicit
-    user settings survive.  Returns the resulting pin map.
+    The runtime is stdlib-only and loads no threaded native library, so
+    the pin changes no result.  It stays for the benchmark harnesses,
+    which call it before their first ``repro`` import: a caller or site
+    hook that loads a BLAS-backed library would otherwise let every
+    process-pool worker start one thread per core and oversubscribe the
+    grid being timed.  Uses ``setdefault``, so explicit user settings
+    survive.  Returns the resulting pin map.
     """
     value = str(int(count))
     for var in BLAS_ENV_VARS:

@@ -1,20 +1,22 @@
 """Engine-backend strategy registry (repro.core.backends).
 
-Covers the registry's four jobs end to end: the one canonical
-unknown-backend error shared by every dispatch surface, checkpoint
-round-trips carrying backend names (including unregistered ones
-degrading to DataError), the optional-dependency fallback walk when
-numpy is absent, extensibility (a throwaway fourth tier dispatching
-through the same public entry points), and the numpy vector tier's
-objective-gated contract against the fast backend.
+Covers the registry's jobs end to end: the one canonical
+unknown-backend error shared by every dispatch surface, checkpoints
+naming an unregistered backend degrading to DataError, the built-in
+three-tier ladder running on the standard library alone, every tier
+honouring the parity contract its spec declares, and extensibility (a
+throwaway fourth tier dispatching through the same public entry
+points).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import re
+import subprocess
 import sys
-import warnings
 
 import pytest
 
@@ -26,8 +28,6 @@ from repro.core.params import TxAlloParams
 from repro.core.persistence import load_allocation, save_allocation
 from repro.errors import DataError, ParameterError
 from tests.conftest import make_random_graph
-
-HAVE_NUMPY = backends.numpy_available()
 
 
 def _canonical_unknown(name):
@@ -67,18 +67,7 @@ class TestCanonicalUnknownBackendError:
 
 
 class TestPersistenceRoundTrip:
-    """Satellite 2: backend names survive checkpoints; junk degrades."""
-
-    def test_vector_backend_round_trips(self, tmp_path):
-        g = make_random_graph(seed=11)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-        mapping = g_txallo(g, params, backend="fast").allocation.mapping()
-        path = tmp_path / "ckpt.json"
-        save_allocation(path, mapping, params, block_height=7)
-        loaded_mapping, loaded_params, height = load_allocation(path)
-        assert loaded_mapping == mapping
-        assert loaded_params.backend == "vector"
-        assert height == 7
+    """Satellite 2: a checkpoint naming an unknown backend degrades."""
 
     def test_unregistered_backend_raises_dataerror(self, tmp_path):
         """A checkpoint naming a backend this build doesn't register is
@@ -95,66 +84,51 @@ class TestPersistenceRoundTrip:
             load_allocation(path)
 
 
-class TestNumpyAbsentFallback:
-    """Satellite 3: without numpy the vector tier degrades to fast."""
-
-    @pytest.fixture
-    def no_numpy(self, monkeypatch):
-        # None in sys.modules makes ``import numpy`` raise ImportError,
-        # which is exactly what the availability predicate probes.
-        monkeypatch.setitem(sys.modules, "numpy", None)
-        backends.reset_fallback_warnings()
-        yield
-        backends.reset_fallback_warnings()
-
-    def test_resolves_to_fast_with_one_warning(self, no_numpy):
-        assert not backends.numpy_available()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = backends.resolve_backend("vector")
-            again = backends.resolve_backend("vector")
-        assert spec.name == "fast"
-        assert again.name == "fast"
-        fallback_warnings = [
-            w for w in caught if issubclass(w.category, RuntimeWarning)
-        ]
-        assert len(fallback_warnings) == 1, "fallback must warn exactly once"
-        assert "falling back to 'fast'" in str(fallback_warnings[0].message)
-
-    def test_results_identical_to_fast(self, no_numpy):
-        g_vec = make_random_graph(seed=21)
-        g_fast = make_random_graph(seed=21)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            vec = g_txallo(g_vec, params)
-        fast = g_txallo(g_fast, params, backend="fast")
-        assert vec.allocation.mapping() == fast.allocation.mapping()
-        assert vec.allocation.sigma == fast.allocation.sigma
-        assert vec.allocation.lam_hat == fast.allocation.lam_hat
-        assert (vec.sweeps, vec.moves) == (fast.sweeps, fast.moves)
-
-    def test_unavailable_without_fallback_raises(self):
-        spec = backends.BackendSpec(
-            name="doomed",
-            description="always unavailable, no fallback",
-            parity=backends.BYTE_IDENTICAL,
-            louvain_kernel=lambda *a: None,
-            gtxallo_kernel=lambda *a: None,
-            atxallo_kernel=lambda *a: None,
-            available=lambda: False,
-        )
-        backends.register_backend(spec)
-        try:
-            with pytest.raises(ParameterError, match="declares no fallback"):
-                backends.resolve_backend("doomed")
-        finally:
-            backends.unregister_backend("doomed")
-
-
 class TestBuiltinTiers:
     def test_four_tier_ladder(self):
-        assert backends.names() == ("fast", "reference", "turbo", "vector")
+        assert backends.names() == ("fast", "reference", "turbo")
+
+
+#: Drives every registered tier and the live network in a fresh
+#: interpreter, then reports whether anything pulled numpy in.
+_STDLIB_ONLY_SCRIPT = """
+import sys
+
+import repro
+from repro.core import backends
+from repro.core.gtxallo import g_txallo
+from repro.core.louvain import louvain_partition
+from repro.core.params import TxAlloParams
+from repro.eval import experiments
+
+workload = experiments.build_workload(scale=0.05, seed=2022)
+for name in backends.names():
+    params = TxAlloParams.with_capacity_for(
+        workload.num_transactions, k=4, backend=name
+    )
+    g_txallo(workload.graph, params).allocation.validate()
+    louvain_partition(workload.graph, backend=name)
+experiments.live_compare(workload, k=4)
+print("numpy" in sys.modules)
+"""
+
+
+class TestStdlibOnlyRuntime:
+    def test_every_tier_runs_without_numpy(self):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _STDLIB_ONLY_SCRIPT],
+            capture_output=True,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False", "the runtime imported numpy"
 
 
 class TestRegistryExtensibility:
@@ -224,86 +198,98 @@ class TestRegistryExtensibility:
             ))
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable (repro[vector])")
-class TestVectorBackend:
-    """The numpy tier's objective-gated contract on the true vector path."""
+#: Every registered tier other than the fast baseline it is judged against.
+_JUDGED_TIERS = tuple(name for name in backends.names() if name != "fast")
 
-    @pytest.fixture(autouse=True)
-    def force_vector_path(self, monkeypatch):
-        # Below the crossover the vector tier delegates wholesale to the
-        # flat engine; pin it to 0 so these small graphs exercise the
-        # batched numpy sweeps themselves.
-        import repro.core.vector as vector
 
-        monkeypatch.setattr(vector, "MIN_VECTOR_NODES", 0)
+def _assert_honours_parity(name, tier_alloc, fast_alloc):
+    """Hold ``tier_alloc`` to the parity contract tier ``name`` declares."""
+    spec = backends.get_backend(name)
+    if spec.parity == backends.BYTE_IDENTICAL:
+        assert tier_alloc.mapping() == fast_alloc.mapping()
+        assert tier_alloc.sigma == fast_alloc.sigma
+        assert tier_alloc.lam_hat == fast_alloc.lam_hat
+    else:
+        assert tier_alloc.total_throughput() >= (
+            (1.0 - spec.tolerance) * fast_alloc.total_throughput()
+        )
+
+
+def _adaptive_run(backend, seed=7):
+    """G-TxAllo on ``fast``, a burst of new transactions, then one
+    A-TxAllo sweep on ``backend``; returns the allocation and result."""
+    import random
+
+    g = make_random_graph(seed=seed)
+    params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
+    alloc = g_txallo(g, params).allocation
+    rng = random.Random(seed)
+    nodes = list(g.nodes())
+    txs = [tuple(rng.sample(nodes, 2)) for _ in range(40)]
+    txs += [(f"new_{i}", rng.choice(nodes)) for i in range(5)]
+    touched = set()
+    for accounts in txs:
+        unique = set(accounts)
+        g.add_transaction(unique)
+        alloc.ingest_transaction(unique)
+        touched.update(unique)
+    return alloc, a_txallo(alloc, touched, backend=backend)
+
+
+class TestDeclaredParityContract:
+    """Each registered tier keeps the parity contract its spec declares.
+
+    Byte-identical tiers must reproduce the fast backend exactly; an
+    objective-gated tier must land within its declared tolerance of the
+    cold fast objective. The tiers come from the registry, so a tier
+    added later is held to the same contract without a new test.
+    """
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 21))
     @pytest.mark.parametrize("k,eta", ((2, 2.0), (4, 2.0), (6, 6.0)))
-    def test_objective_within_tolerance_of_fast(self, seed, k, eta):
-        g_vec = make_random_graph(seed=seed)
-        g_fast = make_random_graph(seed=seed)
-        params = TxAlloParams.with_capacity_for(400, k=k, eta=eta, backend="vector")
-        vec = g_txallo(g_vec, params)
-        fast = g_txallo(g_fast, params, backend="fast")
-        tolerance = backends.get_backend("vector").tolerance
-        assert vec.allocation.total_throughput() >= (
-            (1.0 - tolerance) * fast.allocation.total_throughput()
-        )
+    @pytest.mark.parametrize("name", _JUDGED_TIERS)
+    def test_g_txallo_honours_declared_parity(self, name, k, eta, seed):
+        params = TxAlloParams.with_capacity_for(400, k=k, eta=eta, backend=name)
+        tier = g_txallo(make_random_graph(seed=seed), params)
+        fast = g_txallo(make_random_graph(seed=seed), params, backend="fast")
+        _assert_honours_parity(name, tier.allocation, fast.allocation)
 
-    def test_deterministic(self):
+    @pytest.mark.parametrize("name", _JUDGED_TIERS)
+    def test_a_txallo_honours_declared_parity(self, name):
+        tier_alloc, tier = _adaptive_run(name)
+        fast_alloc, fast = _adaptive_run("fast")
+        _assert_honours_parity(name, tier_alloc, fast_alloc)
+        assert tier.new_nodes == fast.new_nodes
+        tier_alloc.validate(check_caches=True)
+
+
+@pytest.mark.parametrize("name", backends.names())
+class TestEveryTier:
+    """Properties every tier owes regardless of its parity contract."""
+
+    def test_deterministic(self, name):
         runs = []
         for _ in range(2):
-            g = make_random_graph(seed=11)
-            params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-            runs.append(g_txallo(g, params))
+            params = TxAlloParams.with_capacity_for(400, k=4, backend=name)
+            runs.append(g_txallo(make_random_graph(seed=11), params))
         assert runs[0].allocation.mapping() == runs[1].allocation.mapping()
         assert runs[0].allocation.sigma == runs[1].allocation.sigma
         assert (runs[0].sweeps, runs[0].moves) == (runs[1].sweeps, runs[1].moves)
 
-    def test_caches_exact(self):
-        g = make_random_graph(seed=3)
-        params = TxAlloParams.with_capacity_for(400, k=4, backend="vector")
-        alloc = g_txallo(g, params).allocation
+    def test_caches_exact(self, name):
+        params = TxAlloParams.with_capacity_for(400, k=4, backend=name)
+        alloc = g_txallo(make_random_graph(seed=3), params).allocation
         alloc.validate(check_caches=True)
 
-    def test_louvain_vector_is_a_valid_partition(self):
+    def test_louvain_is_a_valid_partition(self, name):
         g = make_random_graph(seed=8)
-        part = louvain_partition(g, backend="vector")
+        part = louvain_partition(g, backend=name)
         assert set(part) == set(g.nodes())
         labels = sorted(set(part.values()))
         assert labels == list(range(len(labels)))
-        assert part == louvain_partition(g, backend="vector")
+        assert part == louvain_partition(make_random_graph(seed=8), backend=name)
 
-    def test_atxallo_byte_identical_to_fast(self):
-        """The vector tier registers the flat A-TxAllo kernel: given the
-        same allocation, adaptive sweeps match the fast backend exactly."""
-        import random
-
-        results = {}
-        for backend in ("fast", "vector"):
-            g = make_random_graph(seed=7)
-            params = TxAlloParams.with_capacity_for(400, k=4, backend="fast")
-            alloc = g_txallo(g, params).allocation
-            rng = random.Random(7)
-            nodes = list(g.nodes())
-            txs = [tuple(rng.sample(nodes, 2)) for _ in range(40)]
-            txs += [(f"new_{i}", rng.choice(nodes)) for i in range(5)]
-            touched = set()
-            for accounts in txs:
-                unique = set(accounts)
-                g.add_transaction(unique)
-                alloc.ingest_transaction(unique)
-                touched.update(unique)
-            result = a_txallo(alloc, touched, backend=backend)
-            results[backend] = (
-                alloc.mapping(),
-                alloc.sigma,
-                alloc.lam_hat,
-                (result.new_nodes, result.swept_nodes, result.sweeps, result.moves),
-            )
-        assert results["fast"] == results["vector"]
-
-    def test_controller_runs_on_vector_backend(self):
+    def test_controller_runs(self, name):
         import random
 
         from repro.core.controller import TxAlloController
@@ -312,7 +298,7 @@ class TestVectorBackend:
         accounts = [f"acc{i:03d}" for i in range(40)]
         seed_txs = [tuple(rng.sample(accounts, 2)) for _ in range(120)]
         params = TxAlloParams.with_capacity_for(
-            200, k=3, backend="vector", tau1=2, tau2=4
+            200, k=3, backend=name, tau1=2, tau2=4
         )
         controller = TxAlloController(params, seed_transactions=seed_txs)
         for _ in range(5):

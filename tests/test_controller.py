@@ -358,15 +358,7 @@ def _event_trace(controller):
 
 
 WORKSPACE_TIERS = [
-    pytest.param(
-        name,
-        marks=pytest.mark.skipif(
-            not backends.get_backend(name).available(),
-            reason=f"{name} tier unavailable",
-        ),
-    )
-    for name in backends.names()
-    if backends.get_backend(name).uses_workspace
+    name for name in backends.names() if backends.get_backend(name).uses_workspace
 ]
 
 

@@ -479,18 +479,7 @@ class TestOverlappingWindowParity:
     a window whose touched nodes all neighbour one another."""
 
     @pytest.mark.parametrize(
-        "backend",
-        [
-            pytest.param(
-                name,
-                marks=pytest.mark.skipif(
-                    not backends.get_backend(name).available(),
-                    reason=f"{name} tier unavailable",
-                ),
-            )
-            for name in backends.names()
-            if name != "reference"
-        ],
+        "backend", [name for name in backends.names() if name != "reference"]
     )
     def test_scrambled_clique_window(self, backend):
         ref_alloc, ref_outcome = _scrambled_clique_window("reference", "per-run")

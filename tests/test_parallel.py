@@ -15,10 +15,8 @@ What the parallel layer *promises* (and these tests pin):
 import pytest
 
 from repro import allocators
-from repro.core import backends, parallel
+from repro.core import parallel
 from repro.eval import experiments
-
-NUMPY = backends.numpy_available()
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +30,7 @@ def small_workload():
 class TestGridParity:
     GRID = dict(ks=(2, 6), etas=(2.0, 6.0), methods=("txallo", "metis", "random"))
 
-    @pytest.mark.parametrize(
-        "backend",
-        ["fast", "reference"]
-        + (["vector"] if NUMPY else []),
-    )
+    @pytest.mark.parametrize("backend", ["fast", "reference"])
     def test_grid_records_identical_across_worker_counts(
         self, small_workload, backend
     ):

@@ -152,12 +152,15 @@ class TestOlderCheckpoints:
         assert payload["params"] == expected
         assert payload["digest"] == WORKERS_CHECKPOINT["digest"]
 
-    def test_unregistered_backend_names_the_backend(self, tmp_path):
+    # Tiers removed since: "parallel" (shard-parallel A-TxAllo) and
+    # "vector" (numpy kernels).  No alias maps them onto a live tier.
+    @pytest.mark.parametrize("backend", ["parallel", "vector"])
+    def test_unregistered_backend_names_the_backend(self, tmp_path, backend):
         payload = json.loads(json.dumps(WORKERS_CHECKPOINT))
-        payload["params"]["backend"] = "parallel"
+        payload["params"]["backend"] = backend
         path = tmp_path / "alloc.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="unknown backend 'parallel'"):
+        with pytest.raises(DataError, match=f"unknown backend '{backend}'"):
             load_allocation(path)
 
 
