@@ -29,7 +29,12 @@ repeated from-scratch graph freezes: each block's ingest perturbs only a
 small frontier, so the controller's scheduled updates extend the frozen
 CSR snapshot incrementally (delta-freeze).
 :attr:`LiveReport.freeze_stats` carries the full/delta/cached counters
-for the run.
+for the run.  Once the last block is in, the drain ticks feed the
+controller empty blocks: the graph stops changing, so after the first
+τ₂ refresh on the final graph the later ones keep that allocation
+instead of re-running G-TxAllo.  Each shard keeps a running total of
+its queued workload, so a tick's ``backlog_workload`` costs O(k), not
+the length of every queue.
 
 This closes the loop the paper argues for qualitatively: with TxAllo
 steering allocation, the same network sustains a higher committed TPS

@@ -51,6 +51,7 @@ class ShardState:
         self.accounts: Set[Address] = set()
         self._queue: Deque[WorkItem] = collections.deque()
         self._carry = 0.0  # partial progress on the queue head
+        self._queued_cost = 0.0  # running sum of the queued items' costs
         self.total_workload = 0.0
         self.processed: List[ProcessedItem] = []
         self.throughput_credit = 0.0
@@ -69,6 +70,7 @@ class ShardState:
                 f"work item needs positive cost/share, got cost={cost!r} share={share!r}"
             )
         self._queue.append(WorkItem(tx=tx, cost=cost, share=share, enqueued_at=now))
+        self._queued_cost += cost
         self.total_workload += cost
 
     @property
@@ -77,7 +79,8 @@ class ShardState:
 
     @property
     def backlog_workload(self) -> float:
-        return sum(item.cost for item in self._queue) - self._carry
+        """Queued workload not yet processed; O(1), read every live tick."""
+        return self._queued_cost - self._carry
 
     # ------------------------------------------------------------------
     def step(self, now: int) -> List[ProcessedItem]:
@@ -97,6 +100,12 @@ class ShardState:
             if remaining <= budget + 1e-12:
                 self._queue.popleft()
                 self._carry = 0.0
+                if self._queue:
+                    self._queued_cost -= head.cost
+                else:
+                    # Subtracting non-dyadic costs (e.g. η = 1.7) leaves
+                    # float dust; an empty queue has exactly zero backlog.
+                    self._queued_cost = 0.0
                 budget -= remaining
                 completed = ProcessedItem(item=head, completed_at=now)
                 done.append(completed)

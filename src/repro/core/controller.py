@@ -26,6 +26,14 @@ from the graph's mutation journal, so between global refreshes the τ₁
 loop does not freeze the graph at all.  Results are byte-identical with
 the workspace on or off; :attr:`TxAlloController.workspace_stats`
 exposes its rebuild/extend counters.
+
+A τ₂ refresh on a graph that has not changed since the G-TxAllo run
+behind the current allocation computes nothing: G-TxAllo is
+deterministic given the graph (Section V-B), so the controller keeps the
+allocation and the workspace, and logs a ``global`` event with zero
+moves.  The schedule of update events is unchanged.  This is what a
+drained live network's empty ticks hit; the test is
+:attr:`repro.core.graph.TransactionGraph.version`.
 """
 
 from __future__ import annotations
@@ -111,6 +119,10 @@ class TxAlloController(OnlineAllocator):
         self._adaptive_enabled = adaptive_enabled
         self._global_enabled = global_enabled
         self._warm_counts: dict = {"warm": 0, "cold": 0}
+        # Graph version seen by the G-TxAllo run that produced the
+        # current allocation; None when it came from ``initial_mapping``
+        # (or a checkpoint), so the first refresh always computes.
+        self._global_version: Optional[int] = None
         # The adaptive workspace batches consecutive A-TxAllo runs over
         # one persistent neighbourhood view (byte-identical results; see
         # repro.core.engine).  The backend's registry spec declares
@@ -133,6 +145,7 @@ class TxAlloController(OnlineAllocator):
             )
             moves = 0
         else:
+            self._global_version = self.graph.version
             result = g_txallo(self.graph, params)
             self.allocation = result.allocation
             moves = result.moves
@@ -195,7 +208,13 @@ class TxAlloController(OnlineAllocator):
         return self.allocation.mapping()
 
     def force_global(self) -> UpdateEvent:
-        """Run G-TxAllo immediately, regardless of the schedule."""
+        """Run G-TxAllo immediately, regardless of the schedule.
+
+        When the graph has not changed since the G-TxAllo run behind the
+        current allocation, the run is skipped: the allocation object
+        and the adaptive workspace are kept, and the returned ``global``
+        event has ``moves == 0``.
+        """
         return self._run_global()
 
     def force_adaptive(self) -> UpdateEvent:
@@ -218,19 +237,31 @@ class TxAlloController(OnlineAllocator):
 
     def _run_global(self) -> UpdateEvent:
         t0 = time.perf_counter()
-        result = g_txallo(self.graph, self.params)
-        self.allocation = result.allocation
-        self._count_warm()
-        if self._workspace is not None:
-            # The refresh replaced the allocation wholesale; the cached
-            # id→shard view has nothing left to say.
-            self._workspace.invalidate()
+        version = self.graph.version
+        if version == self._global_version:
+            # The graph has not changed since the G-TxAllo run behind the
+            # current allocation.  G-TxAllo is deterministic given the
+            # graph, and nothing has moved an account since: ingest bumps
+            # the version, so the touched set A-TxAllo sweeps is empty.
+            # A re-run would return this allocation; keep it, and the
+            # workspace's view of it.
+            moves = 0
+        else:
+            result = g_txallo(self.graph, self.params)
+            self.allocation = result.allocation
+            self._global_version = version
+            moves = result.moves
+            self._count_warm()
+            if self._workspace is not None:
+                # The refresh replaced the allocation wholesale; the cached
+                # id→shard view has nothing left to say.
+                self._workspace.invalidate()
         self._touched.clear()
         event = UpdateEvent(
             kind="global",
             block_height=self.block_height,
             seconds=time.perf_counter() - t0,
-            moves=result.moves,
+            moves=moves,
             touched=self.graph.num_nodes,
         )
         self.events.append(event)
@@ -279,8 +310,8 @@ class TxAlloController(OnlineAllocator):
     def workspace_stats(self) -> dict:
         """Adaptive-workspace counters: ``{"rebuilds", "extends", "runs"}``.
 
-        ``rebuilds`` counts full re-lowerings (controller start, global
-        refreshes, decay), ``extends`` journal replays that carried the
+        ``rebuilds`` counts full re-lowerings (controller start, computed
+        global refreshes, decay), ``extends`` journal replays that carried the
         cached views across a τ₁ window, ``runs`` adaptive runs served
         through the workspace.  All zero when the workspace is disabled
         (``adaptive_workspace=False`` or the reference backend).
@@ -296,7 +327,9 @@ class TxAlloController(OnlineAllocator):
         ``warm`` counts global runs whose Louvain was seeded from the
         previous snapshot's partition, ``cold`` from-scratch partitions
         (including every run on non-turbo backends' behalf: both stay 0
-        unless ``params.backend == "turbo"``).  Benchmarks and tests use
-        this to prove the warm path actually carried across refreshes.
+        unless ``params.backend == "turbo"``).  Refreshes skipped on an
+        unchanged graph ran no Louvain and count as neither.  Benchmarks
+        and tests use this to prove the warm path actually carried
+        across refreshes.
         """
         return dict(self._warm_counts)

@@ -293,6 +293,17 @@ class TransactionGraph:
         """
         return self._total_weight
 
+    @property
+    def version(self) -> int:
+        """Mutation counter: bumped by every change to the graph.
+
+        Node and edge additions and bulk rewrites (decay, pruning, see
+        :meth:`_mark_bulk_mutation`) all bump it; freezing does not.
+        Two equal readings of one graph therefore mean the graph has not
+        changed in between.
+        """
+        return self._version
+
     def nodes(self) -> Iterator[Node]:
         """Nodes in insertion (chronological-appearance) order."""
         return iter(self._adj)

@@ -392,3 +392,142 @@ class TestInterleavedStreams:
         assert _event_trace(on) == _event_trace(off)
         on.force_adaptive()
         on.allocation.validate()
+
+
+ALL_TIERS = backends.names()
+
+
+def _count_gtxallo(monkeypatch):
+    """Spy on the controller's G-TxAllo entry; returns the call list."""
+    import repro.core.controller as controller_module
+
+    calls = []
+    original = controller_module.g_txallo
+
+    def spy(graph, params):
+        calls.append(graph.version)
+        return original(graph, params)
+
+    monkeypatch.setattr(controller_module, "g_txallo", spy)
+    return calls
+
+
+def _skip_params(blocks, backend):
+    return TxAlloParams.with_capacity_for(
+        sum(len(b) for b in blocks), k=4, eta=2.0, tau1=2, tau2=4, backend=backend
+    )
+
+
+class TestUnchangedGraphRefresh:
+    """A τ₂ refresh on an unchanged graph keeps the current allocation."""
+
+    @pytest.mark.parametrize("backend", ALL_TIERS)
+    def test_unchanged_refresh_keeps_allocation_and_workspace(self, backend, monkeypatch):
+        calls = _count_gtxallo(monkeypatch)
+        blocks = _random_blocks(7, blocks=4, txs=40)
+        controller = TxAlloController(_skip_params(blocks, backend))
+        for block in blocks:
+            controller.observe_block(block)  # block 4: computed refresh
+        assert len(calls) == 2
+        # Blocks 5-7 are empty; block 6's adaptive run has nothing to sweep.
+        for _ in range(3):
+            controller.observe_block([])
+        allocation = controller.allocation
+        rebuilds = controller.workspace_stats["rebuilds"]
+        event = controller.observe_block([])  # block 8: τ₂ on an unchanged graph
+        assert event.kind == "global"
+        assert event.block_height == 8
+        assert event.moves == 0
+        assert controller.allocation is allocation
+        assert len(calls) == 2
+        # The workspace was not invalidated: the next adaptive run
+        # (block 10) reuses it instead of rebuilding.
+        controller.observe_block([])
+        controller.observe_block([])
+        assert controller.workspace_stats["rebuilds"] == rebuilds
+        assert controller.allocation is allocation
+        controller.allocation.validate()
+
+    @pytest.mark.parametrize("backend", ALL_TIERS)
+    def test_seed_run_counts_as_the_last_global(self, backend, monkeypatch):
+        calls = _count_gtxallo(monkeypatch)
+        blocks = _random_blocks(6, blocks=4, txs=40)
+        controller = TxAlloController(
+            _skip_params(blocks, backend),
+            seed_transactions=[accounts for block in blocks for accounts in block],
+        )
+        allocation = controller.allocation
+        events = [controller.observe_block([]) for _ in range(4)]
+        assert events[-1].kind == "global" and events[-1].moves == 0
+        assert len(calls) == 1
+        assert controller.allocation is allocation
+
+    @pytest.mark.parametrize("backend", ALL_TIERS)
+    def test_new_transaction_forces_recompute(self, backend, monkeypatch):
+        calls = _count_gtxallo(monkeypatch)
+        blocks = _random_blocks(8, blocks=4, txs=40)
+        controller = TxAlloController(_skip_params(blocks, backend))
+        for block in blocks:
+            controller.observe_block(block)
+        allocation = controller.allocation
+        controller.observe_block([("acc000", "fresh-account")])
+        for _ in range(3):
+            controller.observe_block([])  # block 8: τ₂
+        assert len(calls) == 3
+        assert controller.allocation is not allocation
+        assert "fresh-account" in controller.mapping()
+        controller.allocation.validate()
+
+    @pytest.mark.parametrize("backend", ALL_TIERS)
+    def test_bulk_mutation_forces_recompute(self, backend, monkeypatch):
+        calls = _count_gtxallo(monkeypatch)
+        blocks = _random_blocks(9, blocks=4, txs=40)
+        controller = TxAlloController(_skip_params(blocks, backend))
+        for block in blocks:
+            controller.observe_block(block)
+        allocation = controller.allocation
+        skipped = controller.force_global()
+        assert skipped.moves == 0
+        assert controller.allocation is allocation
+        assert len(calls) == 2
+        controller.graph._mark_bulk_mutation()
+        controller.force_global()
+        assert len(calls) == 3
+        assert controller.allocation is not allocation
+        controller.allocation.validate()
+
+    @pytest.mark.parametrize("backend", ("fast", "reference"))
+    def test_drained_controller_matches_a_direct_global_run(self, backend):
+        from repro.core.gtxallo import g_txallo
+
+        blocks = _random_blocks(10, blocks=7, txs=40)
+        params = _skip_params(blocks, backend)
+        controller = TxAlloController(params)
+        for block in blocks:
+            controller.observe_block(block)
+        for _ in range(params.tau2 * 3):
+            controller.observe_block([])
+        direct = g_txallo(controller.graph, params).allocation
+        assert controller.mapping() == direct.mapping()
+        assert controller.allocation.sigma == direct.sigma  # exact floats
+        assert controller.allocation.lam_hat == direct.lam_hat  # exact floats
+
+    @pytest.mark.parametrize("backend", ALL_TIERS)
+    def test_warm_stats_count_only_computed_refreshes(self, backend, monkeypatch):
+        calls = _count_gtxallo(monkeypatch)
+        blocks = _random_blocks(11, blocks=8, txs=40)
+        controller = TxAlloController(_skip_params(blocks, backend))
+        for block in blocks:
+            controller.observe_block(block)
+        for _ in range(12):
+            controller.observe_block([])
+        # Seed run plus the refreshes at blocks 4 and 8; the three
+        # refreshes on the drained graph (12, 16, 20) computed nothing.
+        assert len(calls) == 3
+        assert len(controller.global_events) == 6
+        assert [e.moves for e in controller.global_events[3:]] == [0, 0, 0]
+        stats = controller.warm_stats
+        if backends.get_backend(backend).warm_louvain:
+            assert stats["warm"] + stats["cold"] == len(calls)
+        else:
+            assert stats == {"warm": 0, "cold": 0}

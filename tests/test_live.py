@@ -1,8 +1,11 @@
 """Tests for the live tick-driven network simulator."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.hash_allocation import hash_partition, hash_shard
+from repro.chain.faults import FaultPlan, ShardStall
 from repro.chain.live import LiveShardedNetwork
 from repro.chain.types import Transaction
 from repro.core.controller import TxAlloController
@@ -170,3 +173,72 @@ class TestControllerDriven:
             "TxAllo should drain the same traffic in fewer block intervals"
         )
         assert txallo_report.mean_latency < hash_report.mean_latency
+
+
+# Non-integral costs and capacities: the accounting must not lean on
+# dyadic floats or whole-item budgets.
+non_integral = st.floats(1.05, 4.5).filter(lambda x: not x.is_integer())
+live_blocks = st.lists(
+    st.lists(
+        st.tuples(st.integers(0, 29), st.integers(0, 29)), min_size=0, max_size=12
+    ),
+    min_size=1,
+    max_size=10,
+)
+stall_windows = st.one_of(
+    st.none(), st.tuples(st.integers(0, 7), st.integers(0, 8), st.integers(1, 6))
+)
+
+
+def assert_reconciled(net):
+    """Network and per-shard workload accounting agree exactly."""
+    assert net._committed + len(net._pending_completions) == net._arrived
+    assert sum(t.committed for t in net.ticks) == net._committed
+    assert sum(t.arrived for t in net.ticks) == net._arrived
+    for shard in net.shards:
+        queued = sum(item.cost for item in shard._queue)
+        assert shard.backlog_workload == pytest.approx(
+            queued - shard._carry, abs=1e-9
+        )
+        # Processed work is every completed item's cost plus the partial
+        # progress already spent on the queue head.
+        processed = sum(p.item.cost for p in shard.processed) + shard._carry
+        assert shard.total_workload == pytest.approx(
+            processed + shard.backlog_workload, abs=1e-9
+        )
+
+
+class TestReconciliation:
+    """committed + pending = arrived, and enqueued = processed + backlog,
+    after every tick, under stalls and non-integral η and λ."""
+
+    @given(
+        blocks=live_blocks,
+        k=st.integers(1, 4),
+        eta=non_integral,
+        lam=non_integral,
+        stall=stall_windows,
+        use_controller=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accounting_reconciles_after_every_tick(
+        self, blocks, k, eta, lam, stall, use_controller
+    ):
+        params = TxAlloParams(k=k, eta=eta, lam=lam, tau1=1, tau2=3)
+        plan = None
+        if stall is not None:
+            shard, start, ticks = stall
+            plan = FaultPlan(stalls=(ShardStall(shard % k, start, ticks),))
+        allocator = TxAlloController(params) if use_controller else {}
+        net = LiveShardedNetwork(params, allocator, fault_plan=plan)
+        for block in blocks:
+            net.tick([tx(f"a{i}", f"a{j}") for i, j in block])
+            assert_reconciled(net)
+        for _ in range(10_000):
+            if not net._pending_completions:
+                break
+            net.tick([])
+            assert_reconciled(net)
+        assert net._committed == net._arrived
+        assert [s.backlog_workload for s in net.shards] == [0.0] * k  # exact
+        assert net.ticks[-1].backlog_workload == 0.0

@@ -227,6 +227,53 @@ class TestCheckpointRecovery:
         assert 0 <= restored.shard_of("fresh-x") < params.k
         assert not restored.degraded
 
+    def test_restored_controller_recomputes_on_first_refresh(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint carries no graph version: the restored mapping
+        did not come from a G-TxAllo run on the restored graph, so the
+        first τ₂ refresh must compute even though no block changed it."""
+        import json
+
+        import repro.core.controller as controller_module
+
+        params = make_params(tau2=4)
+        path = tmp_path / "alloc.ckpt.json"
+        seed = [block(i)[0] for i in range(12)]
+        sup = ResilientAllocator(
+            TxAlloController(params, seed_transactions=seed), checkpoint_path=path
+        )
+        sup.checkpoint_now()
+        # The on-disk layout is unchanged: no version field was added.
+        payload = json.loads(path.read_text())
+        assert set(payload) == {"format", "digest", "block_height", "params", "mapping"}
+        assert set(payload["params"]) == {
+            "k",
+            "eta",
+            "lam",
+            "epsilon",
+            "tau1",
+            "tau2",
+            "backend",
+        }
+
+        calls = []
+        original = controller_module.g_txallo
+
+        def spy(graph, p):
+            calls.append(graph.version)
+            return original(graph, p)
+
+        monkeypatch.setattr(controller_module, "g_txallo", spy)
+        restored = ResilientAllocator.restore(path)
+        assert calls == []  # resumed from the mapping, no seed run
+        events = [restored.observe_block([]) for _ in range(params.tau2)]
+        assert events[-1].kind == "global"
+        assert len(calls) == 1  # the first refresh computed
+        events = [restored.observe_block([]) for _ in range(params.tau2)]
+        assert events[-1].kind == "global" and events[-1].moves == 0
+        assert len(calls) == 1  # the second, on the same graph, did not
+
 
 def _live_setup(seed=5):
     config = WorkloadConfig(
