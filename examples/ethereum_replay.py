@@ -40,8 +40,9 @@ def load_workload(args):
         seed=args.seed,
     )
     generator = EthereumWorkloadGenerator(config)
-    sets_ = account_sets(generator.generate())
-    card = generator.dataset_card()
+    transactions = generator.generate()
+    sets_ = account_sets(transactions)
+    card = generator.dataset_card(transactions)
     print(
         f"synthetic workload: {card.num_transactions} txs, "
         f"{card.num_accounts} accounts, hub share {card.top_account_share:.1%}"

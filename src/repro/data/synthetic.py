@@ -25,10 +25,11 @@ configs produce byte-identical workloads.
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import itertools
 import random
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.chain.types import Address, Block, Transaction, address_from_int
 from repro.errors import ParameterError
@@ -248,55 +249,56 @@ class EthereumWorkloadGenerator:
         """The full transaction stream, materialised."""
         return list(self.transactions())
 
-    def blocks(self) -> Iterator[Block]:
-        """The stream chunked into blocks with linked parent hashes."""
+    def blocks(self, transactions: Iterable[Transaction] = None) -> Iterator[Block]:
+        """The stream chunked into blocks with linked parent hashes.
+
+        ``transactions`` is an already materialised stream to chunk; the
+        blocks then share its :class:`Transaction` objects.  Without it
+        the stream is regenerated from the seed.
+        """
+        stream = iter(self.transactions() if transactions is None else transactions)
+        size = self.config.block_size
         parent = ""
-        height = 0
-        batch: List[Transaction] = []
-        for tx in self.transactions():
-            batch.append(tx)
-            if len(batch) == self.config.block_size:
-                block = Block(height=height, transactions=tuple(batch), parent_hash=parent)
-                yield block
-                parent = block.block_hash
-                height += 1
-                batch = []
-        if batch:
-            yield Block(height=height, transactions=tuple(batch), parent_hash=parent)
+        for height in itertools.count():
+            batch = tuple(itertools.islice(stream, size))
+            if not batch:
+                return
+            block = Block(height=height, transactions=batch, parent_hash=parent)
+            yield block
+            parent = block.block_hash
 
     # ------------------------------------------------------------------
     def dataset_card(self, transactions: Sequence[Transaction] = None) -> DatasetCard:
         """Summarise a generated stream (defaults to a fresh generation)."""
-        txs = list(transactions) if transactions is not None else self.generate()
-        counts: Dict[Address, int] = {}
-        self_loops = 0
-        multi_io = 0
-        accounts_per_tx = 0
-        for tx in txs:
-            accs = tx.accounts
-            accounts_per_tx += len(accs)
-            if tx.is_self_loop:
-                self_loops += 1
-            if len(accs) > 2:
-                multi_io += 1
-            for a in accs:
-                counts[a] = counts.get(a, 0) + 1
-        total = len(txs)
-        ranked = sorted(counts.values(), reverse=True)
-        return DatasetCard(
-            num_transactions=total,
-            num_accounts=len(counts),
-            top_account_share=(ranked[0] / total) if ranked else 0.0,
-            top10_account_share=(sum(ranked[:10]) / total) if ranked else 0.0,
-            self_loop_ratio=self_loops / total if total else 0.0,
-            multi_io_ratio=multi_io / total if total else 0.0,
-            mean_accounts_per_tx=accounts_per_tx / total if total else 0.0,
-        )
+        txs = self.generate() if transactions is None else transactions
+        return card_from_account_sets(account_sets(txs))
 
 
-def account_sets(transactions: Sequence[Transaction]) -> List[Tuple[Address, ...]]:
+def account_sets(transactions: Iterable[Transaction]) -> List[Tuple[Address, ...]]:
     """Project transactions to sorted account tuples (metric/graph input)."""
     return [tuple(sorted(tx.accounts)) for tx in transactions]
+
+
+def card_from_account_sets(sets: Sequence[Tuple[Address, ...]]) -> DatasetCard:
+    """The :class:`DatasetCard` of a stream given as its account tuples.
+
+    Each tuple holds one transaction's distinct accounts, as
+    :func:`account_sets` projects them: one account is a self-loop, more
+    than two is a multi-input/multi-output transaction.
+    """
+    total = len(sets)
+    sizes = [len(accounts) for accounts in sets]
+    counts = collections.Counter(itertools.chain.from_iterable(sets))
+    ranked = sorted(counts.values(), reverse=True)
+    return DatasetCard(
+        num_transactions=total,
+        num_accounts=len(counts),
+        top_account_share=(ranked[0] / total) if ranked else 0.0,
+        top10_account_share=(sum(ranked[:10]) / total) if ranked else 0.0,
+        self_loop_ratio=sizes.count(1) / total if total else 0.0,
+        multi_io_ratio=sum(n > 2 for n in sizes) / total if total else 0.0,
+        mean_accounts_per_tx=sum(sizes) / total if total else 0.0,
+    )
 
 
 # ======================================================================

@@ -39,6 +39,7 @@ from repro.data.synthetic import (
     EthereumWorkloadGenerator,
     WorkloadConfig,
     account_sets,
+    card_from_account_sets,
     make_workload_generator,
 )
 from repro.errors import ParameterError
@@ -73,7 +74,11 @@ DEFAULT_ETAS = (2.0, 4.0, 6.0, 8.0, 10.0)
 # ----------------------------------------------------------------------
 @dataclasses.dataclass
 class Workload:
-    """A materialised workload: transactions plus derived views."""
+    """A materialised workload: transactions plus derived views.
+
+    ``account_sets`` is in chain order, so the first ``n`` tuples are the
+    account tuples of the blocks holding the first ``n`` transactions.
+    """
 
     config: WorkloadConfig
     generator: EthereumWorkloadGenerator
@@ -102,9 +107,18 @@ def build_workload(
     overridden by keyword.  ``topology`` names a registered workload-zoo
     generator (:func:`repro.data.synthetic.workload_names`); the default
     is the paper's Ethereum-like baseline.
+
+    The stream is generated once: the blocks chunk that one list and
+    share its transactions, and the dataset card is computed from the
+    account tuples.
     """
     if scale <= 0:
         raise ParameterError(f"scale must be positive, got {scale!r}")
+    for field in ("num_accounts", "num_transactions"):
+        if field in overrides:
+            raise ParameterError(
+                f"build_workload sets {field} from scale; pass scale instead of {field}"
+            )
     base = WorkloadConfig()
     config = dataclasses.replace(
         base,
@@ -119,15 +133,13 @@ def build_workload(
     graph = TransactionGraph()
     for s in sets_:
         graph.add_transaction(s)
-    blocks = BlockStream(list(generator.blocks()))
-    card = generator.dataset_card(transactions)
     return Workload(
         config=config,
         generator=generator,
         account_sets=sets_,
         graph=graph,
-        blocks=blocks,
-        card=card,
+        blocks=BlockStream(list(generator.blocks(transactions))),
+        card=card_from_account_sets(sets_),
         topology=topology,
     )
 
@@ -623,7 +635,7 @@ def figure9(
         train.num_transactions, k=k, eta=eta, backend=backend
     )
     train_graph = TransactionGraph()
-    for s in train.account_sets():
+    for s in workload.account_sets[: train.num_transactions]:
         train_graph.add_transaction(s)
     base_mapping = g_txallo(train_graph, params).allocation.mapping()
 
@@ -798,7 +810,7 @@ def live_compare(
     allocator failures degrade throughput instead of crashing the run.
     """
     seed_stream, live_stream = workload.blocks.split(seed_fraction)
-    seed_sets = seed_stream.account_sets()
+    seed_sets = workload.account_sets[: seed_stream.num_transactions]
     live_blocks = [list(block) for block in live_stream]
     if not live_blocks:
         raise ParameterError("live_compare needs at least one live block")

@@ -425,7 +425,7 @@ def run_cell(cell: MatrixCell) -> CellResult:
     t_start = time.perf_counter()
     workload = _memo_workload(cell.topology, cell.scale, cell.seed)
     seed_stream, live_stream = workload.blocks.split(cell.seed_fraction)
-    seed_sets = seed_stream.account_sets()
+    seed_sets = workload.account_sets[: seed_stream.num_transactions]
     live_blocks = [list(block) for block in live_stream]
     if not live_blocks:
         raise ParameterError(f"cell {cell.cell_id} has no live blocks")

@@ -33,6 +33,17 @@ class TestBuildWorkload:
         w = experiments.build_workload(scale=0.05, block_size=10)
         assert w.config.block_size == 10
 
+    @pytest.mark.parametrize("field", ["num_accounts", "num_transactions"])
+    def test_scaled_field_override_rejected(self, field):
+        with pytest.raises(ParameterError, match=f"{field}.*scale"):
+            experiments.build_workload(scale=0.05, **{field: 500})
+
+    @pytest.mark.parametrize("fraction", [0.1, 0.4, 0.9])
+    def test_account_sets_prefix_is_the_seed_history(self, tiny_workload, fraction):
+        seed_stream, _ = tiny_workload.blocks.split(fraction)
+        prefix = tiny_workload.account_sets[: seed_stream.num_transactions]
+        assert prefix == seed_stream.account_sets()
+
     def test_card_computed(self, tiny_workload):
         assert tiny_workload.card.num_transactions == tiny_workload.num_transactions
 

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.chain.types import Transaction, address_from_int
 from repro.data.synthetic import (
+    DatasetCard,
     EthereumWorkloadGenerator,
     WorkloadConfig,
     account_sets,
+    card_from_account_sets,
 )
 from repro.errors import ParameterError
 
@@ -88,6 +91,23 @@ class TestGeneration:
         assert len(blocks) == 41
         assert len(blocks[-1]) == 50
 
+    def test_blocks_chunk_a_given_stream(self):
+        """Chunking a materialised list gives the regenerated blocks and
+        shares the list's transaction objects."""
+        gen = EthereumWorkloadGenerator(small_config(num_transactions=4050, block_size=100))
+        txs = gen.generate()
+        given = list(gen.blocks(txs))
+        fresh = list(gen.blocks())
+        assert [b.block_hash for b in given] == [b.block_hash for b in fresh]
+        assert [b.parent_hash for b in given] == [b.parent_hash for b in fresh]
+        shared = [tx for b in given for tx in b.transactions]
+        assert len(shared) == len(txs)
+        assert all(a is b for a, b in zip(shared, txs))
+
+    def test_blocks_of_empty_stream(self):
+        gen = EthereumWorkloadGenerator(small_config())
+        assert list(gen.blocks([])) == []
+
 
 class TestStructuralFacts:
     """The generator must reproduce the paper's dataset facts (§VI-A)."""
@@ -144,6 +164,70 @@ class TestStructuralFacts:
         txs = gen.generate()[:100]
         card = gen.dataset_card(txs)
         assert card.num_transactions == 100
+
+
+def _card_per_transaction(txs):
+    """The dataset card computed straight from ``Transaction`` objects."""
+    counts = {}
+    self_loops = multi_io = accounts_per_tx = 0
+    for tx in txs:
+        accs = tx.accounts
+        accounts_per_tx += len(accs)
+        self_loops += tx.is_self_loop
+        multi_io += len(accs) > 2
+        for a in accs:
+            counts[a] = counts.get(a, 0) + 1
+    ranked = sorted(counts.values(), reverse=True)
+    total = len(txs)
+    return DatasetCard(
+        num_transactions=total,
+        num_accounts=len(counts),
+        top_account_share=ranked[0] / total,
+        top10_account_share=sum(ranked[:10]) / total,
+        self_loop_ratio=self_loops / total,
+        multi_io_ratio=multi_io / total,
+        mean_accounts_per_tx=accounts_per_tx / total,
+    )
+
+
+class TestDatasetCard:
+    def test_edge_cases_match_per_transaction_card(self):
+        a, b, c, d = (address_from_int(i) for i in range(4))
+        txs = [
+            Transaction(inputs=(a, a), outputs=(a, a)),  # self-loop, repeats
+            Transaction(inputs=(b,), outputs=(b,)),  # plain self-loop
+            Transaction(inputs=(a, b), outputs=(b, c, d)),  # multi-io, 4 accounts
+            Transaction(inputs=(c,), outputs=(c, d)),  # 2 accounts, not multi-io
+            Transaction(inputs=(a,), outputs=(b,)),
+        ]
+        gen = EthereumWorkloadGenerator(small_config())
+        card = gen.dataset_card(txs)
+        assert card == card_from_account_sets(account_sets(txs))
+        assert card == _card_per_transaction(txs)
+        assert card == DatasetCard(
+            num_transactions=5,
+            num_accounts=4,
+            top_account_share=3 / 5,
+            top10_account_share=10 / 5,
+            self_loop_ratio=2 / 5,
+            multi_io_ratio=1 / 5,
+            mean_accounts_per_tx=10 / 5,
+        )
+
+    def test_generated_stream_matches_per_transaction_card(self):
+        gen = EthereumWorkloadGenerator(small_config())
+        txs = gen.generate()
+        assert gen.dataset_card(txs) == _card_per_transaction(txs)
+        assert gen.dataset_card() == gen.dataset_card(txs)
+
+    def test_accepts_an_iterator(self):
+        gen = EthereumWorkloadGenerator(small_config(num_transactions=200))
+        assert gen.dataset_card(iter(gen.generate())) == gen.dataset_card()
+
+    def test_empty_stream(self):
+        card = card_from_account_sets([])
+        assert card.num_transactions == card.num_accounts == 0
+        assert card.top_account_share == card.mean_accounts_per_tx == 0.0
 
 
 class TestAccountSets:

@@ -3,6 +3,7 @@ determinism, and the shape invariants each topology exists to provide."""
 
 import pytest
 
+from repro.core.graph import TransactionGraph
 from repro.data.synthetic import (
     AdversarialWorkloadGenerator,
     CommunityDriftWorkloadGenerator,
@@ -11,6 +12,7 @@ from repro.data.synthetic import (
     HotSpotWorkloadGenerator,
     MintBurstWorkloadGenerator,
     WorkloadConfig,
+    account_sets,
     address_from_int,
     get_workload_entry,
     make_workload_generator,
@@ -18,6 +20,7 @@ from repro.data.synthetic import (
     workload_names,
 )
 from repro.errors import ParameterError
+from repro.eval.experiments import build_workload
 
 
 def small_config(**overrides):
@@ -114,8 +117,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", ZOO)
     def test_reiteration_byte_identical(self, name):
-        """One generator instance must restart its stream identically —
-        build_workload iterates it twice (transactions, then blocks)."""
+        """One generator instance must restart its stream identically:
+        ``blocks()`` with no argument regenerates the stream it chunks."""
         generator = make_workload_generator(name, small_config())
         first = list(generator.transactions())
         second = list(generator.transactions())
@@ -149,6 +152,56 @@ class TestDeterminism:
         assert total == 4000
         flat = [tx for block in blocks for tx in block.transactions]
         assert flat == list(generator.transactions())
+
+
+# ----------------------------------------------------------------------
+# build_workload — one generation pass, same workload as the generator's
+# ----------------------------------------------------------------------
+def _tx_fields(block):
+    return [(tx.inputs, tx.outputs, tx.tx_id) for tx in block]
+
+
+class TestBuildWorkload:
+    SCALE = 0.05
+
+    @pytest.fixture(scope="class", params=ZOO)
+    def built(self, request):
+        return build_workload(scale=self.SCALE, seed=5, topology=request.param)
+
+    def test_blocks_equal_a_fresh_generator(self, built):
+        fresh = list(make_workload_generator(built.topology, built.config).blocks())
+        assert len(built.blocks) == len(fresh)
+        for ours, theirs in zip(built.blocks, fresh):
+            assert ours.height == theirs.height
+            assert ours.parent_hash == theirs.parent_hash
+            assert ours.block_hash == theirs.block_hash
+            assert _tx_fields(ours) == _tx_fields(theirs)
+
+    def test_views_equal_an_independent_generate(self, built):
+        generator = make_workload_generator(built.topology, built.config)
+        txs = generator.generate()
+        sets_ = account_sets(txs)
+        assert built.account_sets == sets_
+        assert built.card == generator.dataset_card(txs)
+        graph = TransactionGraph()
+        for accounts in sets_:
+            graph.add_transaction(accounts)
+        assert sorted(built.graph.edges()) == sorted(graph.edges())
+
+    @pytest.mark.parametrize("name", ZOO)
+    def test_generates_the_stream_once(self, name, monkeypatch):
+        cls = type(make_workload_generator(name, small_config()))
+        original = cls._stream_transaction
+        calls = []
+
+        def counting(self, index, rng):
+            calls.append(index)
+            return original(self, index, rng)
+
+        monkeypatch.setattr(cls, "_stream_transaction", counting)
+        workload = build_workload(scale=self.SCALE, seed=5, topology=name)
+        assert len(calls) == workload.config.num_transactions
+        assert calls == list(range(workload.config.num_transactions))
 
 
 # ----------------------------------------------------------------------
