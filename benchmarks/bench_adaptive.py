@@ -2,11 +2,10 @@
 vs batched A-TxAllo.
 
 At the paper's deployed cadence (τ₁=1, Section V-A) the controller
-block-loop is A-TxAllo-dominated: PR 2 made each run's CSR refresh
-incremental and PR 4 made the τ₂ global refresh 2.7x faster, but every
-τ₁ window still paid a freeze extend plus a fresh flat snapshot of the
-touched neighbourhoods.  The adaptive workspace (PR 5,
-:class:`repro.core.engine.AdaptiveWorkspace`) batches consecutive runs:
+block-loop is A-TxAllo-dominated: delta-freeze made each run's CSR
+refresh incremental, but every τ₁ window still paid a freeze extend
+plus a fresh flat snapshot of the touched neighbourhoods.  The adaptive
+workspace (:class:`repro.core.engine.AdaptiveWorkspace`) batches consecutive runs:
 one persistent flat view, kept current from the graph's mutation
 journal, so between global refreshes the loop does not freeze at all.
 
@@ -67,8 +66,8 @@ BLOCK_SIZE = 100
 #: Loop timings are best-of-N to shave scheduler noise off the gate.
 TIMING_REPEATS = 3
 
-#: The standing end-to-end gate (the loop was 1.1-1.2x after PR 4's
-#: turbo refreshes; the A-TxAllo-dominated term lands here).
+#: The standing end-to-end gate (the A-TxAllo-dominated term of the
+#: loop lands here).
 LOOP_SPEEDUP_GATE = 1.3
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_adaptive.json"

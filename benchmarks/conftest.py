@@ -33,8 +33,7 @@ from repro.eval import experiments  # noqa: E402
 
 BENCH_SCALE = float(os.environ.get("BENCH_SCALE", "0.5"))
 #: TxAllo engine backend for the whole suite ("fast"/"reference" are
-#: byte-identical, so figures cannot depend on that choice; "turbo" may
-#: shift figures within its documented objective tolerance).
+#: byte-identical, so figures cannot depend on that choice).
 BENCH_BACKEND = os.environ.get("BENCH_BACKEND", "fast")
 BENCH_KS = (2, 10, 20, 40, 60)
 BENCH_ETAS = (2.0, 6.0, 10.0)

@@ -1,8 +1,8 @@
 """Emit one perf run-table row from the committed/regenerated BENCH files.
 
 ROADMAP's "track absolute seconds across PRs" item: every CI perf run
-appends one row — commit, scale, absolute grid/loop/refresh seconds,
-the four gated speedups and the resilience retention/recovery pair — to
+appends one row — commit, scale, absolute grid/loop seconds, the gated
+speedups and the resilience retention/recovery pair — to
 a tab-separated table uploaded as a build
 artifact, so the trajectory across PRs is a download away instead of an
 archaeology dig through old logs.  Two headline size figures ride along
@@ -59,10 +59,6 @@ COLUMNS = (
     "delta_loop_full_s",
     "delta_loop_delta_s",
     "delta_loop_speedup",
-    "refresh_cold_s",
-    "refresh_warm_s",
-    "refresh_speedup",
-    "warm_objective_ratio",
     "adaptive_loop_base_s",
     "adaptive_loop_ws_s",
     "adaptive_loop_speedup",
@@ -81,7 +77,6 @@ COLUMNS = (
 BENCHES = (
     ("bench_engine_speedup.py", "BENCH_engine"),
     ("bench_delta_freeze.py", "BENCH_delta"),
-    ("bench_louvain_warm.py", "BENCH_louvain"),
     ("bench_adaptive.py", "BENCH_adaptive"),
     ("bench_resilience.py", "BENCH_resilience"),
     ("bench_parallel.py", "BENCH_parallel"),
@@ -112,14 +107,11 @@ def src_lines(src_dir: Path = SRC_DIR) -> int:
 def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
     engine = _load(bench_dir, f"BENCH_engine{suffix}.json")
     delta = _load(bench_dir, f"BENCH_delta{suffix}.json")
-    louvain = _load(bench_dir, f"BENCH_louvain{suffix}.json")
     adaptive = _load(bench_dir, f"BENCH_adaptive{suffix}.json")
     resilience = _load(bench_dir, f"BENCH_resilience{suffix}.json")
     par = _load(bench_dir, f"BENCH_parallel{suffix}.json")
     matrix = _load(bench_dir, f"BENCH_matrix{suffix}.json")
-    scale = engine.get(
-        "scale", delta.get("scale", louvain.get("scale", adaptive.get("scale")))
-    )
+    scale = engine.get("scale", delta.get("scale", adaptive.get("scale")))
     return {
         "commit": commit,
         "scale": scale,
@@ -131,10 +123,6 @@ def build_row(bench_dir: Path, commit: str, suffix: str = "") -> dict:
         "delta_loop_full_s": delta.get("full_loop_seconds"),
         "delta_loop_delta_s": delta.get("delta_loop_seconds"),
         "delta_loop_speedup": delta.get("speedup"),
-        "refresh_cold_s": louvain.get("cold_refresh_seconds"),
-        "refresh_warm_s": louvain.get("warm_refresh_seconds"),
-        "refresh_speedup": louvain.get("refresh_speedup"),
-        "warm_objective_ratio": louvain.get("objective_ratio"),
         "adaptive_loop_base_s": adaptive.get("base_loop_seconds"),
         "adaptive_loop_ws_s": adaptive.get("workspace_loop_seconds"),
         "adaptive_loop_speedup": adaptive.get("speedup"),

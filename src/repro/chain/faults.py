@@ -324,7 +324,7 @@ class FaultyAllocator(OnlineAllocator):
         return self.inner.freeze_stats
 
     def __getattr__(self, name: str):
-        # Transparent stand-in for the wrapped allocator (warm_stats,
+        # Transparent stand-in for the wrapped allocator (workspace_stats,
         # allocation, block_height, ...).  Only reached for attributes
         # this proxy does not define itself; guard against recursion
         # before __init__ has bound ``inner``.

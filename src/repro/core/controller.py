@@ -118,7 +118,6 @@ class TxAlloController(OnlineAllocator):
         self._touched: Set[Node] = set()
         self._adaptive_enabled = adaptive_enabled
         self._global_enabled = global_enabled
-        self._warm_counts: dict = {"warm": 0, "cold": 0}
         # Graph version seen by the G-TxAllo run that produced the
         # current allocation; None when it came from ``initial_mapping``
         # (or a checkpoint), so the first refresh always computes.
@@ -149,7 +148,6 @@ class TxAlloController(OnlineAllocator):
             result = g_txallo(self.graph, params)
             self.allocation = result.allocation
             moves = result.moves
-            self._count_warm()
         self.events.append(
             UpdateEvent(
                 kind="global",
@@ -222,19 +220,6 @@ class TxAlloController(OnlineAllocator):
         return self._run_adaptive()
 
     # ------------------------------------------------------------------
-    def _count_warm(self) -> None:
-        """Record whether the global run's Louvain went warm or cold.
-
-        Only meaningful on warm-Louvain backends (the registry spec's
-        ``warm_louvain`` flag — turbo today); ``louvain_warm_hit`` is
-        stamped on the (cached, so free to re-fetch) frozen snapshot by
-        :func:`repro.core.engine.louvain_flat_warm`.
-        """
-        if not backends.get_backend(self.params.backend).warm_louvain:
-            return
-        hit = self.graph.freeze().louvain_warm_hit
-        self._warm_counts["warm" if hit else "cold"] += 1
-
     def _run_global(self) -> UpdateEvent:
         t0 = time.perf_counter()
         version = self.graph.version
@@ -251,7 +236,6 @@ class TxAlloController(OnlineAllocator):
             self.allocation = result.allocation
             self._global_version = version
             moves = result.moves
-            self._count_warm()
             if self._workspace is not None:
                 # The refresh replaced the allocation wholesale; the cached
                 # id→shard view has nothing left to say.
@@ -319,17 +303,3 @@ class TxAlloController(OnlineAllocator):
         if self._workspace is None:
             return {"rebuilds": 0, "extends": 0, "runs": 0}
         return self._workspace.stats
-
-    @property
-    def warm_stats(self) -> dict:
-        """Per-refresh Louvain warm-start counters: ``{"warm", "cold"}``.
-
-        ``warm`` counts global runs whose Louvain was seeded from the
-        previous snapshot's partition, ``cold`` from-scratch partitions
-        (including every run on non-turbo backends' behalf: both stay 0
-        unless ``params.backend == "turbo"``).  Refreshes skipped on an
-        unchanged graph ran no Louvain and count as neither.  Benchmarks
-        and tests use this to prove the warm path actually carried
-        across refreshes.
-        """
-        return dict(self._warm_counts)

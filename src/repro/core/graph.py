@@ -74,14 +74,6 @@ Node = str
 #: bookkeeping costs more than the straight O(N + E) pass it avoids.
 DELTA_REBUILD_FRACTION = 0.25
 
-#: A full rebuild whose delta log stayed intact (monotone growth, just a
-#: too-large frontier) still carries the turbo warm-Louvain seeds forward
-#: — but only up to this frontier share.  Past it the prior partition is
-#: a worse starting point than a cold restart (measured in
-#: tests/test_louvain_warm.py's interleaving suite), so the seeds die
-#: with the snapshot exactly as on poisoned-log rebuilds.
-REBUILD_SEED_CARRY_FRACTION = 0.5
-
 #: Safety valve on mutation-journal growth: past this many edge entries
 #: the journal is poisoned and detached, so an abandoned consumer (e.g. a
 #: discarded controller whose workspace was never invalidated) cannot
@@ -402,7 +394,7 @@ class TransactionGraph:
         The snapshot is immutable and detached: mutating the graph
         afterwards does not touch it, it only invalidates the cache.
         """
-        from repro.core.csr import CSRGraph, carry_warm_seeds
+        from repro.core.csr import CSRGraph
 
         frozen = self._frozen
         if frozen is not None and frozen[0] == self._version:
@@ -424,23 +416,6 @@ class TransactionGraph:
         if csr is None:
             csr = CSRGraph.from_graph(self)
             self._freeze_counts["full"] += 1
-            if (
-                log_intact
-                and frontier <= REBUILD_SEED_CARRY_FRACTION * len(self._adj)
-            ):
-                # The frontier was too large for an incremental extend,
-                # but the log still describes monotone growth only — ids
-                # are insertion-stable across the rebuild, so the prior
-                # Louvain membership remains usable.  Carry the turbo
-                # warm seeds instead of dropping them with the snapshot
-                # (a τ₂ refresh right after a bursty window keeps its
-                # warm start), as long as the partition is still mostly
-                # fresh; the per-seed staleness check also still applies.
-                delta_ids = [
-                    csr.index_of[v]
-                    for v in self._delta_touched.union(self._delta_nodes)
-                ]
-                carry_warm_seeds(frozen[1], csr, delta_ids)
         self._frozen = (self._version, csr)
         self._delta_nodes = []
         self._delta_touched.clear()

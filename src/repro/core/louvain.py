@@ -49,11 +49,7 @@ def louvain_partition(
     flat-array implementation over the frozen CSR graph
     (:mod:`repro.core.engine`) and is bit-identical to ``"reference"``,
     the dict-based implementation below (``tests/test_engine_parity.py``
-    pins it).  ``"turbo"`` warm-starts level-0 local moving from the previous
-    snapshot's partition (:func:`repro.core.engine.louvain_flat_warm`)
-    and may return a *different* (still deterministic) partition — the
-    allocation built on top is gated on the TxAllo objective instead of
-    partition equality.
+    pins it).
     """
     spec = backends.get_backend(backend)
     return spec.louvain_kernel(graph, max_levels, resolution)

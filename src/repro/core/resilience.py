@@ -52,7 +52,7 @@ hash rule.
 :attr:`resilience_stats` exports the supervision counters (``failures``,
 ``retries``, ``deadline_overruns``, ``degraded_blocks``, ``failovers``,
 ``trips``, ``recoveries``, ``checkpoints``) alongside the existing
-``freeze_stats``/``warm_stats``/``workspace_stats`` pass-throughs, and
+``freeze_stats``/``workspace_stats`` pass-throughs, and
 :class:`~repro.chain.live.LiveShardedNetwork` surfaces them per run on
 :class:`~repro.chain.live.LiveReport`.
 """
@@ -373,11 +373,6 @@ class ResilientAllocator(OnlineAllocator):
             return self.inner.freeze_stats
         except Exception:  # noqa: BLE001 — reporting must not raise
             return None
-
-    @property
-    def warm_stats(self) -> Optional[Dict[str, int]]:
-        stats = getattr(self.inner, "warm_stats", None)
-        return dict(stats) if stats is not None else None
 
     @property
     def workspace_stats(self) -> Optional[Dict[str, int]]:

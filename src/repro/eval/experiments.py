@@ -272,9 +272,7 @@ def sweep(
     (:mod:`repro.core.backends`); with ``"fast"`` the whole grid shares
     one frozen CSR graph and one memoised Louvain partition, which is
     where most of the engine's end-to-end win comes from.
-    ``"reference"`` is byte-identical to ``"fast"``; ``"turbo"`` may
-    shift TxAllo's cells within the registry's documented objective
-    tolerance.
+    ``"reference"`` is byte-identical to ``"fast"``.
 
     ``workers > 1`` fans the independent cells out to a process pool
     (:func:`repro.core.parallel.run_grid`) with the shared freeze,

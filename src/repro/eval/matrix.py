@@ -47,6 +47,7 @@ from repro import allocators
 from repro.chain.faults import FaultPlan, resolve_fault_plan
 from repro.chain.live import LiveShardedNetwork, TickStats
 from repro.core.allocator import OnlineAllocator
+from repro.core.backends import get_backend
 from repro.core.graph import TransactionGraph
 from repro.core.parallel import effective_workers, fork_available
 from repro.core.params import TxAlloParams
@@ -144,6 +145,8 @@ class MatrixSpec:
             get_workload_entry(topology)  # raises with the available names
         for name in self.allocators:
             allocators.get_entry(name)
+        for name in self.backends:
+            get_backend(name)
         for scale in self.scales:
             if scale <= 0:
                 raise ParameterError(f"scales must be positive, got {scale!r}")

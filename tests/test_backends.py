@@ -3,10 +3,9 @@
 Covers the registry's jobs end to end: the one canonical
 unknown-backend error shared by every dispatch surface, checkpoints
 naming an unregistered backend degrading to DataError, the built-in
-three-tier ladder running on the standard library alone, every tier
-honouring the parity contract its spec declares, and extensibility (a
-throwaway fourth tier dispatching through the same public entry
-points).
+two-tier ladder running on the standard library alone, every tier
+byte-identical to the others, and extensibility (a throwaway third tier
+dispatching through the same public entry points).
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from repro.core.louvain import louvain_partition
 from repro.core.params import TxAlloParams
 from repro.core.persistence import load_allocation, save_allocation
 from repro.errors import DataError, ParameterError
+from repro.eval.matrix import MatrixSpec
 from tests.conftest import make_random_graph
 
 
@@ -65,28 +65,41 @@ class TestCanonicalUnknownBackendError:
         with pytest.raises(ParameterError, match=_canonical_unknown("warp")):
             backends.get_backend("warp")
 
+    def test_matrix_spec(self):
+        with pytest.raises(ParameterError, match=_canonical_unknown("nosuch")):
+            MatrixSpec(backends=("fast", "nosuch"))
+
+    def test_matrix_spec_from_dict_naming_removed_tier(self):
+        # Campaign JSON written while the "turbo" tier existed fails at
+        # parse time, before any cell runs.
+        with pytest.raises(ParameterError, match=_canonical_unknown("turbo")):
+            MatrixSpec.from_dict({"backends": ["turbo"]})
+
 
 class TestPersistenceRoundTrip:
     """Satellite 2: a checkpoint naming an unknown backend degrades."""
 
     def test_unregistered_backend_raises_dataerror(self, tmp_path):
         """A checkpoint naming a backend this build doesn't register is
-        malformed *data*, not a KeyError escaping the loader."""
+        malformed *data*, not a KeyError escaping the loader — whether
+        the name is from a newer build or a removed tier."""
         g = make_random_graph(seed=11)
         params = TxAlloParams.with_capacity_for(400, k=4)
         mapping = g_txallo(g, params).allocation.mapping()
         path = tmp_path / "ckpt.json"
         save_allocation(path, mapping, params)
-        payload = json.loads(path.read_text())
-        payload["params"]["backend"] = "from-the-future"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="malformed checkpoint"):
-            load_allocation(path)
+        saved = json.loads(path.read_text())
+        for name in ("from-the-future", "turbo"):
+            saved["params"]["backend"] = name
+            path.write_text(json.dumps(saved))
+            with pytest.raises(DataError, match="malformed checkpoint") as exc:
+                load_allocation(path)
+            assert repr(name) in str(exc.value)
 
 
 class TestBuiltinTiers:
-    def test_four_tier_ladder(self):
-        assert backends.names() == ("fast", "reference", "turbo")
+    def test_tier_ladder(self):
+        assert backends.names() == ("fast", "reference")
 
 
 #: Drives every registered tier and the live network in a fresh
@@ -154,7 +167,6 @@ class TestRegistryExtensibility:
         backends.register_backend(backends.BackendSpec(
             name="dummy",
             description="fast kernels behind a call counter (test tier)",
-            parity=backends.BYTE_IDENTICAL,
             louvain_kernel=louvain,
             gtxallo_kernel=gtxallo,
             atxallo_kernel=atxallo,
@@ -186,33 +198,16 @@ class TestRegistryExtensibility:
         with pytest.raises(ParameterError, match="already registered"):
             backends.register_backend(backends.get_backend("dummy"))
 
-    def test_bad_parity_rejected(self):
-        with pytest.raises(ParameterError, match="parity"):
-            backends.register_backend(backends.BackendSpec(
-                name="sloppy",
-                description="",
-                parity="vibes",
-                louvain_kernel=lambda *a: None,
-                gtxallo_kernel=lambda *a: None,
-                atxallo_kernel=lambda *a: None,
-            ))
-
 
 #: Every registered tier other than the fast baseline it is judged against.
 _JUDGED_TIERS = tuple(name for name in backends.names() if name != "fast")
 
 
-def _assert_honours_parity(name, tier_alloc, fast_alloc):
-    """Hold ``tier_alloc`` to the parity contract tier ``name`` declares."""
-    spec = backends.get_backend(name)
-    if spec.parity == backends.BYTE_IDENTICAL:
-        assert tier_alloc.mapping() == fast_alloc.mapping()
-        assert tier_alloc.sigma == fast_alloc.sigma
-        assert tier_alloc.lam_hat == fast_alloc.lam_hat
-    else:
-        assert tier_alloc.total_throughput() >= (
-            (1.0 - spec.tolerance) * fast_alloc.total_throughput()
-        )
+def _assert_honours_parity(tier_alloc, fast_alloc):
+    """Hold ``tier_alloc`` to the one contract: byte-identical to fast."""
+    assert tier_alloc.mapping() == fast_alloc.mapping()
+    assert tier_alloc.sigma == fast_alloc.sigma
+    assert tier_alloc.lam_hat == fast_alloc.lam_hat
 
 
 def _adaptive_run(backend, seed=7):
@@ -237,12 +232,10 @@ def _adaptive_run(backend, seed=7):
 
 
 class TestDeclaredParityContract:
-    """Each registered tier keeps the parity contract its spec declares.
+    """Each registered tier reproduces the fast backend exactly.
 
-    Byte-identical tiers must reproduce the fast backend exactly; an
-    objective-gated tier must land within its declared tolerance of the
-    cold fast objective. The tiers come from the registry, so a tier
-    added later is held to the same contract without a new test.
+    The tiers come from the registry, so a tier added later is held to
+    the same contract without a new test.
     """
 
     @pytest.mark.parametrize("seed", (3, 8, 11, 21))
@@ -252,20 +245,20 @@ class TestDeclaredParityContract:
         params = TxAlloParams.with_capacity_for(400, k=k, eta=eta, backend=name)
         tier = g_txallo(make_random_graph(seed=seed), params)
         fast = g_txallo(make_random_graph(seed=seed), params, backend="fast")
-        _assert_honours_parity(name, tier.allocation, fast.allocation)
+        _assert_honours_parity(tier.allocation, fast.allocation)
 
     @pytest.mark.parametrize("name", _JUDGED_TIERS)
     def test_a_txallo_honours_declared_parity(self, name):
         tier_alloc, tier = _adaptive_run(name)
         fast_alloc, fast = _adaptive_run("fast")
-        _assert_honours_parity(name, tier_alloc, fast_alloc)
+        _assert_honours_parity(tier_alloc, fast_alloc)
         assert tier.new_nodes == fast.new_nodes
         tier_alloc.validate(check_caches=True)
 
 
 @pytest.mark.parametrize("name", backends.names())
 class TestEveryTier:
-    """Properties every tier owes regardless of its parity contract."""
+    """Properties every tier owes on its own, without a fast baseline."""
 
     def test_deterministic(self, name):
         runs = []

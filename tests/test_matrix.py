@@ -41,7 +41,7 @@ class TestSpec:
             topologies=("ethereum", "hotspot"),
             scales=(0.05, 0.1),
             allocators=("txallo",),
-            backends=("fast", "turbo"),
+            backends=("fast", "reference"),
             cadences=((0, 0), (2, 8)),
             faults=("none", "standard"),
             reps=3,
