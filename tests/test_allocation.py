@@ -232,6 +232,23 @@ class TestTruncateAndIntegrity:
         alloc.move("a", 1)
         assert snap != alloc.mapping() or snap["a"] == 1
 
+    def test_community_sizes_count_members(self, clustered_graph):
+        params = TxAlloParams(k=3, eta=2.0, lam=50.0)
+        partition = {v: i % 3 for i, v in enumerate(clustered_graph.nodes())}
+        alloc = Allocation.from_partition(
+            clustered_graph, params, partition, num_communities=4
+        )
+        v = next(iter(clustered_graph.nodes()))
+        alloc.move(v, 3)
+        sizes = alloc.community_sizes()
+        assert len(sizes) == alloc.num_communities == 4
+        assert sizes[3] == 1
+        assert sum(sizes) == len(alloc) == clustered_graph.num_nodes
+        counts = [0] * 4
+        for shard in alloc.mapping().values():
+            counts[shard] += 1
+        assert sizes == counts
+
 
 class TestThroughput:
     def test_total_is_sum_of_communities(self, clustered_graph):

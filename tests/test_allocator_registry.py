@@ -20,6 +20,7 @@ from repro.core.allocator import (
     OnlineAllocator,
     StaticAllocator,
     ensure_online,
+    hash_fallback_shard,
 )
 from repro.core.controller import TxAlloController
 from repro.core.params import TxAlloParams
@@ -144,6 +145,23 @@ class TestEnsureOnline:
         assert isinstance(online, FixedMappingAllocator)
         assert online.shard_of("a") == 2
         assert 0 <= online.shard_of("unknown") < 3
+
+    def test_static_allocator_defaults_to_the_hash_fallback(self):
+        allocator = FunctionAllocator("probe", lambda g, p: {})
+        for account in ("a", "b", "0xdead"):
+            assert allocator.default_shard(account, 5) == hash_fallback_shard(account, 5)
+
+    def test_custom_fallback_routes_unseen_accounts_of_as_online(self):
+        allocator = FunctionAllocator(
+            "probe",
+            lambda g, p: {v: 0 for v in g.nodes()},
+            fallback=lambda account, k: k - 1,
+        )
+        assert allocator.default_shard("x", 4) == 3
+        params = TxAlloParams(k=4, eta=2.0, lam=10.0)
+        online = allocator.as_online(params, seed_transactions=[("a", "b")])
+        assert online.shard_of("a") == online.shard_of("b") == 0
+        assert online.shard_of("never-seen") == 3
 
     def test_invalid_mapping_value_rejected(self):
         params = TxAlloParams(k=2, eta=2.0, lam=10.0)

@@ -128,6 +128,15 @@ class TestReshuffle:
             seen |= set(members)
         assert seen == set(range(30))
 
+    def test_shard_sizes_match_members(self):
+        pool = MinerPool(23, 4, seed=5)
+        for epoch in (0, 1, 2):
+            pool.reshuffle(epoch)
+            sizes = pool.shard_sizes()
+            assert sizes == [len(pool.members(s)) for s in range(4)]
+            assert sum(sizes) == 23
+            assert max(sizes) - min(sizes) == pool.max_size_gap() <= 1
+
     def test_shard_of(self):
         pool = MinerPool(10, 2)
         assert pool.shard_of(0) in (0, 1)

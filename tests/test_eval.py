@@ -161,6 +161,13 @@ class TestAdaptiveFigures:
 
 
 class TestReporting:
+    def test_format_table_shows_floats_with_three_decimals(self):
+        table = format_table(["x", "n", "s"], [[1 / 3, 7, None], [2.0, 10, "ok"]])
+        lines = table.splitlines()
+        assert lines[2].split() == ["0.333", "7", "None"]
+        assert lines[3].split() == ["2.000", "10", "ok"]
+        assert len({len(line) for line in lines}) == 1  # right-aligned columns
+
     def test_format_table_alignment(self):
         table = format_table(["name", "x"], [["a", 1.0], ["bb", 2.5]])
         lines = table.splitlines()

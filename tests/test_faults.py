@@ -15,6 +15,7 @@ from repro.chain.faults import (
     FaultyAllocator,
     MalformedDelivery,
     ShardStall,
+    resolve_fault_plan,
     with_faults,
 )
 from repro.chain.live import LiveShardedNetwork
@@ -126,6 +127,85 @@ class TestPlanConstruction:
         assert inner.observed == []
         proxy.observe_block([("a", "b")])
         assert inner.observed == [(("a", "b"),)]
+
+
+class TestPlanQueries:
+    """The per-tick / per-call lookups the network and proxy consult."""
+
+    def test_stall_covers_its_half_open_window_on_its_shard_only(self):
+        stall = ShardStall(shard=2, start_tick=5, ticks=3)
+        assert [t for t in range(12) if stall.covers(2, t)] == [5, 6, 7]
+        assert not any(stall.covers(1, t) for t in range(12))
+
+    def test_stalled_is_the_union_of_stalls(self):
+        plan = FaultPlan(stalls=(ShardStall(0, 0, 2), ShardStall(0, 4, 1), ShardStall(1, 1, 1)))
+        assert [t for t in range(6) if plan.stalled(0, t)] == [0, 1, 4]
+        assert [t for t in range(6) if plan.stalled(1, t)] == [1]
+        assert not any(plan.stalled(3, t) for t in range(6))
+        assert not FaultPlan().stalled(0, 0)
+
+    def test_allocator_fault_at_matches_the_call_index(self):
+        slow = AllocatorFault(at_block=7, kind="slow", seconds=2.5)
+        plan = FaultPlan(allocator_faults=(AllocatorFault(at_block=3), slow))
+        assert plan.allocator_fault_at(3) == AllocatorFault(at_block=3)
+        assert plan.allocator_fault_at(7) is slow
+        assert [i for i in range(1, 10) if plan.allocator_fault_at(i)] == [3, 7]
+
+    def test_duplicates_cycle_through_the_block_in_order(self):
+        block = [tx("a", "b"), tx("c", "d")]
+        plan = FaultPlan(delivery_faults=(DeliveryFault(tick=4, count=5),))
+        assert plan.injected_deliveries(4, block) == [
+            block[0], block[1], block[0], block[1], block[0]
+        ]
+        assert plan.injected_deliveries(3, block) == []
+
+    def test_duplicates_of_an_empty_block_inject_nothing(self):
+        plan = FaultPlan(delivery_faults=(DeliveryFault(tick=0, count=3),))
+        assert plan.injected_deliveries(0, []) == []
+
+    def test_malformed_and_duplicate_faults_on_one_tick_stack(self):
+        block = [tx("a", "b")]
+        plan = FaultPlan(
+            delivery_faults=(
+                DeliveryFault(tick=2, kind="malformed", count=2),
+                DeliveryFault(tick=2, count=1),
+                DeliveryFault(tick=9, kind="malformed"),
+            )
+        )
+        extras = plan.injected_deliveries(2, block)
+        assert len(extras) == 3
+        assert all(isinstance(e, MalformedDelivery) for e in extras[:2])
+        assert extras[2] is block[0]
+        # Even on an empty block the malformed objects still arrive.
+        assert len(plan.injected_deliveries(2, [])) == 2
+
+    @pytest.mark.parametrize("seed", (0, 1, 2, 3, 4))
+    def test_seeded_plan_stays_inside_the_run(self, seed):
+        ticks, k = 30, 3
+        plan = FaultPlan.seeded(seed, ticks=ticks, k=k)
+        blocks = [f.at_block for f in plan.allocator_faults]
+        assert blocks == sorted(set(blocks))
+        assert all(1 <= b for b in blocks)
+        assert all(0 <= s.shard < k and 0 <= s.start_tick < ticks for s in plan.stalls)
+        assert all(0 <= d.tick < ticks for d in plan.delivery_faults)
+
+
+class TestResolveFaultPlan:
+    def test_none_resolves_to_no_plan(self):
+        assert resolve_fault_plan("none", ticks=20, k=4, tau2=5) is None
+
+    def test_standard_uses_the_runs_tau2(self):
+        assert resolve_fault_plan("standard", ticks=20, k=4, tau2=5) == FaultPlan.standard(5)
+
+    def test_seeded_uses_the_runs_ticks_and_k(self):
+        plan = resolve_fault_plan("seeded:7", ticks=20, k=4, tau2=5)
+        assert plan == FaultPlan.seeded(7, ticks=20, k=4)
+        assert plan.seed == 7
+
+    @pytest.mark.parametrize("name", ("seeded:", "seeded:x", "chaos", "Standard"))
+    def test_bad_names_raise(self, name):
+        with pytest.raises(ParameterError, match=repr(name)):
+            resolve_fault_plan(name, ticks=20, k=4, tau2=5)
 
 
 class TestNetworkFaultFamilies:

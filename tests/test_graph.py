@@ -341,6 +341,33 @@ class TestFreeze:
         for i in range(csr.num_nodes):
             assert csr.sorted_order[csr.sorted_rank[i]] == i
 
+    def test_adjacency_dicts_are_detached_copies_of_the_rows(self):
+        g = self.small_graph()
+        csr = g.freeze()
+        rows, loop = csr.adjacency_dicts()
+        assert [list(r.items()) for r in rows] == [list(prs) for prs in csr.pairs]
+        assert loop == list(csr.loop)
+        rows[0][99] = 1.0
+        loop[0] = -1.0
+        assert 99 not in dict(csr.pairs[0])
+        assert csr.loop[0] == g.self_loop(csr.nodes[0])
+        assert csr.adjacency_dicts()[0][0] != rows[0]
+
+    def test_sorted_order_is_identity_when_inserted_in_order(self):
+        g = TransactionGraph()
+        g.add_transaction(("a", "b"))
+        g.add_transaction(("c",))
+        csr = g.freeze()
+        assert csr.sorted_order_is_identity
+        assert list(csr.sorted_order) == list(range(csr.num_nodes))
+
+    def test_sorted_order_is_not_identity_when_inserted_out_of_order(self):
+        g = self.small_graph()
+        g.add_transaction(("aaa", "c"))  # interned after "island"
+        csr = g.freeze()
+        assert not csr.sorted_order_is_identity
+        assert list(csr.sorted_order) == [0, 4, 1, 2, 3]
+
 
 class TestMutationJournal:
     def test_records_nodes_and_edge_increments_in_order(self):

@@ -92,6 +92,32 @@ class TestMoveGainExactness:
             )
 
 
+class TestLeaveGainExactness:
+    @pytest.mark.parametrize("eta", [1.0, 2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("lam", [5.0, 40.0])
+    def test_leave_gain_matches_realised_change_of_the_source(self, eta, lam):
+        """Moving ``v`` into a spare empty community realises exactly the
+        leave half of Eq. 8 on its source community."""
+        graph = make_random_graph(num_accounts=48, num_transactions=300, seed=8)
+        k = 4
+        partition = {v: i % k for i, v in enumerate(graph.nodes())}
+        params = TxAlloParams(k=k, eta=eta, lam=lam)
+        rng = random.Random(6)
+        nodes = list(graph.nodes())
+        for _ in range(40):
+            alloc = Allocation.from_partition(graph, params, partition, num_communities=k + 1)
+            v = rng.choice(nodes)
+            p = alloc.shard_of(v)
+            by_shard, w_self, w_ext = alloc.neighbour_shard_weights(v)
+            predicted = GainComputer(alloc).leave_gain(p, by_shard.get(p, 0.0), w_self, w_ext)
+            before = alloc.community_throughput(p)
+            alloc.move(v, k, weights=(by_shard, w_self, w_ext))
+            assert predicted == pytest.approx(
+                alloc.community_throughput(p) - before, abs=1e-9
+            )
+            partition[v] = rng.randrange(k)  # vary the membership between rounds
+
+
 class TestLemma1:
     def test_untouched_communities_unchanged(self):
         """Lemma 1: ΔΛ_j = 0 for all j ∉ {p, q}."""

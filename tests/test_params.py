@@ -40,6 +40,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             TxAlloParams(k=2, tau1=100, tau2=50)
 
+    def test_removed_turbo_tier_rejected(self):
+        with pytest.raises(ParameterError, match="unknown backend 'turbo'"):
+            TxAlloParams(k=2, backend="turbo")
+
     def test_tau_must_be_positive(self):
         with pytest.raises(ParameterError):
             TxAlloParams(k=2, tau1=0)

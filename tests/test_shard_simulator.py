@@ -67,6 +67,16 @@ class TestShardState:
         assert units == 4
         assert shard.queue_length == 0
 
+    def test_account_membership(self):
+        shard = ShardState(0, capacity=1.0)
+        shard.assign_account("a")
+        shard.assign_account("b")
+        shard.assign_account("a")  # idempotent
+        assert shard.accounts == {"a", "b"}
+        shard.remove_account("a")
+        shard.remove_account("never-assigned")  # tolerated
+        assert shard.accounts == {"b"}
+
 
 class TestSimulator:
     def test_unknown_account_rejected(self):
