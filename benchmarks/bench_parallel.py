@@ -4,9 +4,12 @@ Times :func:`repro.core.parallel.run_grid` — the Fig. 8 evaluation grid
 (:func:`repro.eval.experiments.sweep`) at ``workers`` 1, 2 and 4 — and
 writes ``BENCH_parallel.json`` next to this file, asserting the records
 are identical across worker counts (the process-parallel contract:
-``workers=N`` changes wall-clock only).
+``workers=N`` changes wall-clock only).  Each worker count is timed as
+the best of ``REPEATS`` runs, so a brief slow spell on a shared host
+does not decide the overhead floor.
 
-``cpu_count`` and ``fork_available`` ride in the payload because the
+``python`` and ``numpy`` ride in the payload to record the host;
+``cpu_count`` and ``fork_available`` ride in it because the
 *speedup* gate is environment-conditional: a host with fewer cores than
 workers cannot exhibit the 4-worker speedup, so ``check_gates`` enforces
 it only when the recording host actually had the cores (>= 4) at the
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -52,8 +56,19 @@ GRID_KS = (2, 10, 20, 40, 60)
 GRID_ETAS = (2.0, 6.0, 10.0)
 GRID_METHODS = ("txallo", "metis")
 GRID_WORKERS = (1, 2, 4)
+#: Each worker count's time is the best of this many grid runs.
+REPEATS = 3
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_parallel.json"
+
+
+def _numpy_version() -> str:
+    from importlib import metadata
+
+    try:
+        return metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        return "absent"
 
 
 def _grid_part(scale: float) -> dict:
@@ -61,18 +76,21 @@ def _grid_part(scale: float) -> dict:
     seconds = {}
     canon = {}
     for workers in GRID_WORKERS:
-        t0 = time.perf_counter()
-        records = experiments.sweep(
-            workload,
-            ks=GRID_KS,
-            etas=GRID_ETAS,
-            methods=GRID_METHODS,
-            backend="fast",
-            workers=workers,
-        )
-        seconds[workers] = time.perf_counter() - t0
-        canon[workers] = parallel.canonical_records(records)
-    identical = all(canon[w] == canon[1] for w in GRID_WORKERS)
+        runs = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            records = experiments.sweep(
+                workload,
+                ks=GRID_KS,
+                etas=GRID_ETAS,
+                methods=GRID_METHODS,
+                backend="fast",
+                workers=workers,
+            )
+            runs.append(time.perf_counter() - t0)
+            canon.setdefault(workers, []).append(parallel.canonical_records(records))
+        seconds[workers] = min(runs)
+    identical = all(run == canon[1][0] for w in GRID_WORKERS for run in canon[w])
     return {
         "n_nodes": workload.graph.num_nodes,
         "n_edges": workload.graph.num_edges,
@@ -80,6 +98,7 @@ def _grid_part(scale: float) -> dict:
         "grid_ks": list(GRID_KS),
         "grid_etas": list(GRID_ETAS),
         "grid_methods": list(GRID_METHODS),
+        "grid_repeats": REPEATS,
         "grid_seconds": {str(w): seconds[w] for w in GRID_WORKERS},
         "grid_speedup_w2": seconds[1] / seconds[2] if seconds[2] > 0 else None,
         "grid_speedup_w4": seconds[1] / seconds[4] if seconds[4] > 0 else None,
@@ -91,6 +110,8 @@ def run_bench(scale: float = BENCH_SCALE, out_path: Path = OUT_PATH) -> dict:
     payload = {
         "scale": scale,
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": _numpy_version(),
         "fork_available": parallel.fork_available(),
         "blas_pinned": parallel.blas_threads_pinned(),
     }

@@ -3,19 +3,22 @@
 Everything upstream of this module is single-threaded.  The Fig. 8
 evaluation grid — every ``(method, k, eta)`` cell of
 :func:`repro.eval.experiments.sweep` / ``figure4`` — is embarrassingly
-parallel once the shared state exists.  :func:`run_grid` computes that
-state **once in the parent** (the frozen CSR snapshot, the memoised
-Louvain partition, and every eta-independent static mapping — see
-:func:`warm_grid_state`), then fans the cells out to a
-``ProcessPoolExecutor`` using the ``fork`` start method, so workers
-inherit the warmed workload copy-on-write instead of re-deriving or
-unpickling it.  Task descriptors are tiny ``(method, k, eta)`` tuples
-and results come back in canonical cell order, so ``workers=N`` produces
-records identical to ``workers=1`` up to wall-clock fields
-(:func:`canonical_records` strips those; ``tests/test_parallel.py`` pins
-the parity).  Platforms without ``fork`` (and ``workers=1``) run the
-same warmed path inline — the fallback is a slower spelling of the same
-computation, not a different one.
+parallel once the graph is frozen.  :func:`run_grid` does only the
+shared work in the parent: the freeze (the CSR snapshot every cell
+reads) and, on the ``fast`` tier, the memoised Louvain partition that
+TxAllo cells reuse.  It then schedules **one task per mapping**
+(:func:`grid_tasks`): an eta-independent static ``(method, k)`` pair
+(hash, prefix, METIS) is one task that computes the mapping once and
+evaluates every eta cell of it; every other cell is a task of its own.
+Multi-cell tasks are dispatched first to a ``ProcessPoolExecutor`` using
+the ``fork`` start method, so workers inherit the workload
+copy-on-write instead of unpickling it, and task descriptors are tuples
+of cell indices.  Records are reassembled in canonical cell order, so
+``workers=N`` produces records identical to ``workers=1`` up to
+wall-clock fields (:func:`canonical_records` strips those;
+``tests/test_parallel.py`` pins the parity).  Platforms without
+``fork`` (and ``workers=1``) run the same tasks inline — the fallback is
+a slower spelling of the same computation, not a different one.
 
 :func:`pin_blas_threads` pins the BLAS/OpenMP thread-count environment
 knobs (``OMP_NUM_THREADS`` etc.) for the benchmark harnesses; every
@@ -67,9 +70,9 @@ def blas_threads_pinned() -> bool:
 def fork_available() -> bool:
     """True when the ``fork`` start method exists (POSIX).
 
-    Process-parallel grids require it: the warmed workload travels to
+    Process-parallel grids require it: the frozen workload travels to
     workers by copy-on-write inheritance, not pickling.  Without it
-    :func:`run_grid` runs the cells inline (``workers=1`` semantics).
+    :func:`run_grid` runs the tasks inline (``workers=1`` semantics).
     """
     return "fork" in multiprocessing.get_all_start_methods()
 
@@ -82,8 +85,8 @@ def effective_workers(workers: int, tasks: int) -> int:
 # ======================================================================
 # Process-parallel evaluation grid
 # ======================================================================
-#: Per-worker-process grid state installed by :func:`_grid_worker_init`
-#: (fork-inherited workload + backend + preloaded mapping cache).
+#: The grid state a task reads: ``(workload, backend, cells)``.  Set in
+#: the parent before the pool forks, so workers inherit it.
 _GRID_STATE: Optional[tuple] = None
 
 
@@ -98,55 +101,38 @@ def canonical_records(records: Sequence) -> List:
     return [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
 
 
-def warm_grid_state(workload, cells: Sequence[Tuple[str, int, float]], backend: str, cache):
-    """Compute the grid's shared state once, in the calling process.
+def grid_tasks(cells: Sequence[Tuple[str, int, float]]) -> List[Tuple[int, ...]]:
+    """Group cell indices into pool tasks, in dispatch order.
 
-    * freezes the transaction graph (the CSR snapshot every cell reads);
-    * memoises the Louvain partition on that snapshot when any cell runs
-      TxAllo (``g_txallo`` consults ``csr.louvain_memo`` under its
-      default ``(32, 1.0)`` key — one parent-side run serves the whole
-      grid);
-    * computes every eta-independent static mapping (hash, prefix,
-      METIS) exactly once per ``(method, k)`` into ``cache`` — the
-      satellite fix for the parallel grid, where per-process
-      memoisation would otherwise recompute them in every worker.
+    Every cell of one eta-independent static ``(method, k)`` pair shares
+    a task, so its mapping is computed once; every other cell is a task
+    of its own.  Multi-cell tasks come first (the sort is stable).
     """
     from repro import allocators
-    from repro.core.louvain import louvain_partition
-    from repro.core.params import TxAlloParams
 
-    workload.graph.freeze()
-    methods = {method for method, _, _ in cells}
-    if methods & {"txallo", "txallo_online"}:
-        louvain_partition(workload.graph, backend=backend)
-    for method, k, eta in cells:
+    groups: Dict[object, List[int]] = {}
+    for i, (method, k, _) in enumerate(cells):
         entry = allocators.get_entry(method)
-        if entry.kind == "static" and entry.eta_independent:
-            params = TxAlloParams.with_capacity_for(
-                workload.num_transactions, k=k, eta=eta, backend=backend
-            )
-            cache.mapping_for(entry, workload, params)
+        shared = entry.kind == "static" and entry.eta_independent
+        groups.setdefault((method, k) if shared else i, []).append(i)
+    return sorted((tuple(g) for g in groups.values()), key=len, reverse=True)
 
 
-def _grid_worker_init(workload, backend: str, preloaded: dict) -> None:
-    """Pool initializer: adopt the fork-inherited shared grid state."""
-    global _GRID_STATE
-    from repro.eval.experiments import _MappingCache
-
-    _GRID_STATE = (workload, backend, _MappingCache(preloaded=preloaded))
-
-
-def _grid_cell(task: Tuple[str, int, float]):
-    """Run one (method, k, eta) cell against the worker's grid state."""
-    method, k, eta = task
-    workload, backend, cache = _GRID_STATE
+def _grid_task(indices: Tuple[int, ...]) -> List:
+    """Run one task's cells; a task-local cache serves the eta reuse."""
+    workload, backend, cells = _GRID_STATE
     from repro.core.params import TxAlloParams
-    from repro.eval.experiments import run_method
+    from repro.eval.experiments import _MappingCache, run_method
 
-    params = TxAlloParams.with_capacity_for(
-        workload.num_transactions, k=k, eta=eta, backend=backend
-    )
-    return run_method(method, workload, params, cache)
+    cache = _MappingCache()
+    records = []
+    for i in indices:
+        method, k, eta = cells[i]
+        params = TxAlloParams.with_capacity_for(
+            workload.num_transactions, k=k, eta=eta, backend=backend
+        )
+        records.append(run_method(method, workload, params, cache))
+    return records
 
 
 def run_grid(
@@ -157,32 +143,36 @@ def run_grid(
 ) -> List:
     """Evaluate ``cells`` (canonical order preserved) with ``workers``.
 
-    The shared freeze + Louvain memo + eta-independent mappings are
-    computed once in the parent (:func:`warm_grid_state`); with
-    ``workers > 1`` on a ``fork`` platform the cells fan out to a
-    process pool that inherits that state copy-on-write, otherwise they
-    run inline over the same warmed state.  Either way the returned
-    records are identical up to ``runtime_seconds`` (compare through
-    :func:`canonical_records`).
+    The parent freezes the graph and, on the ``fast`` tier, memoises the
+    Louvain partition on the snapshot; everything else runs in the
+    :func:`grid_tasks` tasks.  With ``workers > 1`` on a ``fork``
+    platform the tasks fan out to a process pool that inherits the
+    parent's state copy-on-write, otherwise they run inline.  Either way
+    the returned records are identical up to ``runtime_seconds``
+    (compare through :func:`canonical_records`).
     """
-    from repro.eval.experiments import _MappingCache
+    global _GRID_STATE
+    from repro.core.louvain import louvain_partition
 
-    cache = _MappingCache()
-    warm_grid_state(workload, cells, backend, cache)
-    workers = effective_workers(workers, len(cells))
-    if workers <= 1 or not fork_available():
-        global _GRID_STATE
-        saved = _GRID_STATE
-        _GRID_STATE = (workload, backend, cache)
-        try:
-            return [_grid_cell(task) for task in cells]
-        finally:
-            _GRID_STATE = saved
-    ctx = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_grid_worker_init,
-        initargs=(workload, backend, cache.export()),
-    ) as pool:
-        return list(pool.map(_grid_cell, cells))
+    workload.graph.freeze()
+    # Only the fast kernel memoises Louvain (on ``csr.louvain_memo``),
+    # so only there does a parent-side run serve the TxAllo cells.
+    if backend == "fast" and any(m in ("txallo", "txallo_online") for m, _, _ in cells):
+        louvain_partition(workload.graph, backend=backend)
+    tasks = grid_tasks(cells)
+    workers = effective_workers(workers, len(tasks))
+    _GRID_STATE = (workload, backend, cells)
+    try:
+        if workers <= 1 or not fork_available():
+            results = [_grid_task(task) for task in tasks]
+        else:
+            ctx = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
+                results = list(pool.map(_grid_task, tasks))
+    finally:
+        _GRID_STATE = None
+    records: List = [None] * len(cells)
+    for task, task_records in zip(tasks, results):
+        for i, record in zip(task, task_records):
+            records[i] = record
+    return records

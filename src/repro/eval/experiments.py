@@ -32,6 +32,7 @@ from repro.core.metrics import (
     workload_balance,
     worst_case_latency,
 )
+from repro.core.parallel import run_grid
 from repro.core.params import TxAlloParams
 from repro.data.stream import BlockStream
 from repro.data.synthetic import (
@@ -164,29 +165,17 @@ class MethodMetrics:
 
 
 class _MappingCache:
-    """Caches eta-independent static mappings (hash, METIS) across the sweep.
+    """Caches eta-independent static mappings (hash, METIS) across etas.
 
     Registry-driven: any entry flagged ``eta_independent`` is computed
     once per ``k`` and reused for every eta panel, with the first run's
     wall-clock reported for each reuse (the mapping is what's shared,
-    not the work).
-
-    ``preloaded`` seeds the cache from another process: the parallel
-    grid (:mod:`repro.core.parallel`) computes every eta-independent
-    mapping once in the parent, ``export()``\\ s the cache, and ships it
-    to the pool workers so fan-out never recomputes METIS/prefix per
-    worker.
+    not the work).  The parallel grid (:mod:`repro.core.parallel`) keeps
+    one per task, and a task holds every eta cell of one ``(method, k)``.
     """
 
-    def __init__(
-        self,
-        preloaded: Optional[Dict[Tuple[str, int], Tuple[dict, float]]] = None,
-    ) -> None:
-        self._cache: Dict[Tuple[str, int], Tuple[dict, float]] = dict(preloaded or {})
-
-    def export(self) -> Dict[Tuple[str, int], Tuple[dict, float]]:
-        """A picklable snapshot of the cache, for seeding worker processes."""
-        return dict(self._cache)
+    def __init__(self) -> None:
+        self._cache: Dict[Tuple[str, int], Tuple[dict, float]] = {}
 
     def mapping_for(
         self,
@@ -274,29 +263,19 @@ def sweep(
     where most of the engine's end-to-end win comes from.
     ``"reference"`` is byte-identical to ``"fast"``.
 
-    ``workers > 1`` fans the independent cells out to a process pool
-    (:func:`repro.core.parallel.run_grid`) with the shared freeze,
-    Louvain memo and eta-independent mappings computed once in the
-    parent.  Records come back in the same canonical (eta, k, method)
-    order and are identical to a ``workers=1`` run up to the
-    ``runtime_seconds`` timing field; platforms without ``fork`` fall
-    back to the sequential path.
+    The grid runs through :func:`repro.core.parallel.run_grid`: one
+    task per eta-independent ``(method, k)`` mapping, which computes the
+    mapping once and evaluates every eta cell of it, and one task per
+    other cell.  ``workers > 1`` fans the tasks out to a process pool;
+    ``workers <= 1`` and platforms without ``fork`` run them inline.
+    Records come back in the canonical (eta, k, method) order and are
+    identical across worker counts up to the ``runtime_seconds`` timing
+    field.
     """
     cells = [
         (method, k, eta) for eta in etas for k in ks for method in methods
     ]
-    if workers > 1:
-        from repro.core.parallel import run_grid
-
-        return run_grid(workload, cells, backend=backend, workers=workers)
-    cache = _MappingCache()
-    records: List[MethodMetrics] = []
-    for method, k, eta in cells:
-        params = TxAlloParams.with_capacity_for(
-            workload.num_transactions, k=k, eta=eta, backend=backend
-        )
-        records.append(run_method(method, workload, params, cache))
-    return records
+    return run_grid(workload, cells, backend=backend, workers=workers)
 
 
 # ----------------------------------------------------------------------
@@ -478,24 +457,12 @@ def figure4(
     backend: str = "fast",
     workers: int = 1,
 ) -> Figure4Report:
-    """Fig. 4 case study; ``workers > 1`` runs the methods through the
-    process-parallel grid (identical distributions, wall-clock only)."""
-    if workers > 1:
-        from repro.core.parallel import run_grid
-
-        cells = [(m, k, eta) for m in methods]
-        records = run_grid(workload, cells, backend=backend, workers=workers)
-        distributions = {
-            method_label(rec.method): rec.normalized_workloads for rec in records
-        }
-        return Figure4Report(k=k, eta=eta, distributions=distributions)
-    params = TxAlloParams.with_capacity_for(
-        workload.num_transactions, k=k, eta=eta, backend=backend
-    )
-    cache = _MappingCache()
+    """Fig. 4 case study: one :func:`repro.core.parallel.run_grid` cell
+    per method (``workers`` changes wall-clock only)."""
+    cells = [(m, k, eta) for m in methods]
+    records = run_grid(workload, cells, backend=backend, workers=workers)
     distributions = {
-        method_label(m): run_method(m, workload, params, cache).normalized_workloads
-        for m in methods
+        method_label(rec.method): rec.normalized_workloads for rec in records
     }
     return Figure4Report(k=k, eta=eta, distributions=distributions)
 

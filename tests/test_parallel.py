@@ -5,17 +5,23 @@ What the parallel layer *promises* (and these tests pin):
 * the process-parallel evaluation grid returns records identical to a
   sequential run for any worker count, on every backend tier — the only
   thing ``workers`` may change is wall-clock;
-* the shared grid state (freeze + Louvain memo + eta-independent static
-  mappings) is computed exactly once in the parent, never per worker;
+* the grid runs one task per eta-independent static ``(method, k)``
+  mapping, so each such mapping is computed exactly once at any worker
+  count — in a pool worker, not in the parent, whenever a pool runs —
+  and its first run's wall-clock rides on every eta record;
+* the parent does only the shared freeze and, on the tier that
+  memoises it, the Louvain partition;
 * platforms without ``fork`` (and ``workers=1``) silently fall back to
-  the same warmed sequential path;
+  running the same tasks inline;
 * the BLAS/OpenMP pin sets every knob without overriding the user's.
 """
+
+import os
 
 import pytest
 
 from repro import allocators
-from repro.core import parallel
+from repro.core import louvain, parallel
 from repro.eval import experiments
 
 
@@ -97,6 +103,11 @@ class TestGridFallbacks:
         inline = parallel.run_grid(small_workload, cells, workers=workers)
         assert parallel.canonical_records(inline) == parallel.canonical_records(seq)
 
+    def test_grid_tasks_group_shared_mappings_first(self):
+        methods = ("txallo", "metis", "shard_scheduler")
+        cells = [(m, 2, eta) for eta in (2.0, 6.0) for m in methods]
+        assert parallel.grid_tasks(cells) == [(1, 4), (0,), (2,), (3,), (5,)]
+
     def test_effective_workers_clamps(self):
         assert parallel.effective_workers(8, 3) == 3
         assert parallel.effective_workers(0, 3) == 1
@@ -107,11 +118,11 @@ class TestSharedStateComputedOnce:
     def test_static_mappings_computed_once_per_name_k(
         self, small_workload, tmp_path, monkeypatch
     ):
-        """The _MappingCache satellite: at any worker count, an
-        eta-independent allocator's ``allocate`` runs exactly once per
-        (name, k) — in the parent — instead of once per worker process.
-        The probe allocator appends to a file so forked children's calls
-        are visible here."""
+        """One task per eta-independent ``(name, k)`` mapping: at any
+        worker count ``allocate`` runs exactly once per (name, k), and
+        with a pool it runs in a worker, never in the parent.  The probe
+        allocator appends ``k`` and its pid to a file so forked
+        children's calls are visible here."""
         from repro.core.allocator import FunctionAllocator
 
         count_file = tmp_path / "allocate_calls.log"
@@ -119,7 +130,7 @@ class TestSharedStateComputedOnce:
 
         def counting_mapping(graph, params):
             with count_file.open("a") as fh:
-                fh.write(f"k={params.k}\n")
+                fh.write(f"k={params.k} pid={os.getpid()}\n")
             return {a: i % params.k for i, a in enumerate(graph.nodes_sorted())}
 
         allocators.register(
@@ -138,10 +149,57 @@ class TestSharedStateComputedOnce:
                     methods=("count_probe",),
                     workers=workers,
                 )
-                calls = sorted(count_file.read_text().split())
-                assert calls == ["k=2", "k=4"], (workers, calls)
+                calls = [line.split() for line in count_file.read_text().splitlines()]
+                assert sorted(k for k, _ in calls) == ["k=2", "k=4"], (workers, calls)
+                if workers > 1 and parallel.fork_available():
+                    parent = f"pid={os.getpid()}"
+                    assert all(pid != parent for _, pid in calls), (workers, calls)
         finally:
             allocators.unregister("count_probe")
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_eta_independent_records_share_first_runtime(
+        self, small_workload, workers
+    ):
+        """Every eta record of one eta-independent (method, k) carries the
+        mapping's first wall-clock, so a per-method time sum can count it
+        once per k."""
+        records = experiments.sweep(
+            small_workload,
+            ks=(2, 4),
+            etas=(2.0, 6.0, 10.0),
+            methods=("hash", "metis"),
+            workers=workers,
+        )
+        runtimes = {}
+        for r in records:
+            runtimes.setdefault((r.method, r.k), set()).add(r.runtime_seconds)
+        assert len(runtimes) == 4
+        assert all(len(seen) == 1 for seen in runtimes.values()), runtimes
+
+    def test_reference_tier_runs_louvain_once_per_cell(
+        self, small_workload, monkeypatch
+    ):
+        """Only the fast kernel memoises Louvain on the snapshot, so the
+        parent must not warm it on ``reference``: one TxAllo cell, one
+        Louvain run."""
+        calls = []
+        kernel = louvain._louvain_reference_kernel
+
+        def counting_kernel(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(louvain, "_louvain_reference_kernel", counting_kernel)
+        experiments.sweep(
+            small_workload,
+            backend="reference",
+            methods=("txallo",),
+            ks=(2,),
+            etas=(2.0,),
+            workers=1,
+        )
+        assert len(calls) == 1
 
     def test_parent_freeze_is_shared(self, small_workload):
         graph = small_workload.graph
